@@ -1,5 +1,6 @@
 #include "sim/cache.hh"
 
+#include <algorithm>
 #include <bit>
 #include <cassert>
 #include <stdexcept>
@@ -26,11 +27,9 @@ Cache::Cache(std::uint64_t bytes, int assoc, std::uint32_t line_bytes,
 {
     if (sets_ == 0 || (sets_ & (sets_ - 1)) != 0)
         throw std::invalid_argument("cache set count must be a power of 2");
-    ways_.reset(static_cast<Way*>(
-        std::calloc(sets_ * static_cast<std::uint64_t>(assoc_),
-                    sizeof(Way))));
-    if (!ways_)
-        throw std::bad_alloc();
+    ways_ = std::make_unique_for_overwrite<Way[]>(
+        sets_ * static_cast<std::uint64_t>(assoc_));
+    setInit_.assign((sets_ + 63) / 64, 0);
     const Protocol& pr = proto ? *proto : Protocol::mesi();
     for (int s = 1; s < kProtoStates; ++s) {
         switch (pr.req[kProtoWrite][s].next) {
@@ -90,22 +89,37 @@ Cache::setState(Addr addr, LineState st)
         w->state = st;
 }
 
+void
+Cache::initSet(std::uint64_t set)
+{
+    setInit_[set >> 6] |= std::uint64_t{1} << (set & 63);
+    Way* base = &ways_[set * assoc_];
+    for (int w = 0; w < assoc_; ++w)
+        base[w] = Way{0, LineState::Invalid, 0};
+}
+
 std::uint64_t
 Cache::residentLines() const
 {
     std::uint64_t n = 0;
-    for (std::uint64_t i = 0; i < sets_ * assoc_; ++i)
-        if (ways_[i].state != LineState::Invalid)
-            ++n;
+    forEachLine([&n](Addr, LineState) { ++n; });
     return n;
 }
 
 void
 Cache::reset()
 {
-    for (std::uint64_t i = 0; i < sets_ * assoc_; ++i)
-        ways_[i].state = LineState::Invalid;
+    std::fill(setInit_.begin(), setInit_.end(), 0);
     useClock_ = 0;
+}
+
+std::uint64_t
+Cache::touchedSets() const
+{
+    std::uint64_t n = 0;
+    for (const std::uint64_t bits : setInit_)
+        n += std::popcount(bits);
+    return n;
 }
 
 } // namespace ccnuma::sim

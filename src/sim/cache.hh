@@ -11,10 +11,11 @@
 #ifndef CCNUMA_SIM_CACHE_HH
 #define CCNUMA_SIM_CACHE_HH
 
+#include <bit>
 #include <cassert>
 #include <cstdint>
-#include <cstdlib>
 #include <memory>
+#include <vector>
 
 #include "sim/protocol.hh"
 #include "sim/types.hh"
@@ -97,10 +98,15 @@ class Cache
     void
     forEachLine(Fn&& fn) const
     {
-        for (std::uint64_t i = 0; i < sets_ * assoc_; ++i) {
-            const Way& w = ways_[i];
-            if (w.state != LineState::Invalid)
-                fn(w.line << lineShift_, w.state);
+        // Only initialised sets hold lines; visit them in set order.
+        for (std::size_t i = 0; i < setInit_.size(); ++i) {
+            for (std::uint64_t bits = setInit_[i]; bits; bits &= bits - 1) {
+                const Way* set =
+                    &ways_[(i * 64 + std::countr_zero(bits)) * assoc_];
+                for (int w = 0; w < assoc_; ++w)
+                    if (set[w].state != LineState::Invalid)
+                        fn(set[w].line << lineShift_, set[w].state);
+            }
         }
     }
 
@@ -108,20 +114,24 @@ class Cache
     /// (used when resetting between phases in tests).
     void reset();
 
+    /// Number of sets initialised since construction or the last
+    /// reset(): the sets some access() or install() has reached. Exact
+    /// and host-independent, unlike the pages the array occupies.
+    std::uint64_t touchedSets() const;
+
   private:
-    /// Trivial, and meaningful when all-zero (LineState::Invalid == 0):
-    /// the backing array comes from calloc, so a freshly built cache
-    /// costs no page-touching — the kernel's zero pages fault in only
-    /// for the sets a run actually reaches. (A 4 MB L2 at 128
-    /// processors is tens of MB of Way state per machine; small runs
-    /// touch a sliver of it.)
+    /// Trivial, so the backing array is allocated uninitialised: a set
+    /// holds garbage until its bit in setInit_ is set, and is written
+    /// only when a fill first reaches it. Building a cache thus costs
+    /// O(sets / 64), not O(capacity) — a 4 MB L2 is 512 KB of Way state,
+    /// 128 MB per p256 machine, of which small runs reach a sliver.
+    /// (Zeroed memory is no substitute: once glibc's dynamic mmap
+    /// threshold rises past the array size, calloc memsets recycled
+    /// heap in full.)
     struct Way {
         std::uint64_t line;
         LineState state;
         std::uint32_t lastUse;
-    };
-    struct WayFree {
-        void operator()(Way* p) const { std::free(p); }
     };
 
     std::uint64_t setIndex(std::uint64_t line) const
@@ -129,10 +139,20 @@ class Cache
         return line & (sets_ - 1);
     }
 
+    bool
+    setInitialised(std::uint64_t set) const
+    {
+        return (setInit_[set >> 6] >> (set & 63)) & 1;
+    }
+
+    /// A set whose bit is clear holds no line.
     Way*
     find(std::uint64_t line)
     {
-        Way* base = &ways_[setIndex(line) * assoc_];
+        const std::uint64_t set = setIndex(line);
+        if (!setInitialised(set))
+            return nullptr;
+        Way* base = &ways_[set * assoc_];
         for (int w = 0; w < assoc_; ++w)
             if (base[w].state != LineState::Invalid &&
                 base[w].line == line)
@@ -149,7 +169,8 @@ class Cache
     std::uint64_t sets_;
     int assoc_;
     std::uint32_t useClock_ = 0;
-    std::unique_ptr<Way[], WayFree> ways_; ///< sets_*assoc_, set-major.
+    std::unique_ptr<Way[]> ways_; ///< sets_*assoc_, set-major.
+    std::vector<std::uint64_t> setInit_; ///< one bit per set
 
     /// Resolved req[write][state].next per current state, applied
     /// inline on a write hit; LineState::Invalid means "leave
@@ -158,14 +179,22 @@ class Cache
     LineState writeHitNext_[4] = {LineState::Invalid, LineState::Dirty,
                                   LineState::Invalid, LineState::Invalid};
 
+    /// Mark `set` initialised with every way Invalid. Out of line so
+    /// that access() stays small enough to inline.
+    void initSet(std::uint64_t set);
+
     /// One pass over a set: returns the matching way via `hit`, or
     /// leaves `hit` null and returns the fill victim (first invalid
     /// way if any, else least-recently-used — identical choice to a
-    /// separate find-then-scan).
+    /// separate find-then-scan). A set reached for the first time is
+    /// initialised first, all ways Invalid.
     Way*
     scanSet(std::uint64_t line, Way*& hit)
     {
-        Way* base = &ways_[setIndex(line) * assoc_];
+        const std::uint64_t set = setIndex(line);
+        if (!setInitialised(set))
+            initSet(set);
+        Way* base = &ways_[set * assoc_];
         Way* victim = base;
         for (int w = 0; w < assoc_; ++w) {
             Way& cand = base[w];

@@ -38,8 +38,9 @@ namespace ccnuma::sim {
  *   BarrierId bar = m.barrierCreate();
  *   RunResult r = m.run([&](Cpu& cpu) -> Task { ... });
  *
- * A Machine runs one program; build a fresh Machine per experiment run
- * (construction is cheap relative to simulation).
+ * A Machine runs one program; build a fresh Machine per experiment run.
+ * Construction costs O(P), not O(P x cache size): each cache
+ * initialises a set only when a fill first reaches it.
  */
 class Machine
 {

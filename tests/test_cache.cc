@@ -5,6 +5,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstddef>
+#include <map>
+#include <new>
+#include <random>
+#include <set>
+#include <utility>
+#include <vector>
+
 #include "sim/cache.hh"
 
 using namespace ccnuma::sim;
@@ -136,4 +145,279 @@ TEST(Cache, ResidentCountTracksEvictions)
     c.access(kLine, false);
     c.access(2 * kLine, false); // evicts
     EXPECT_EQ(c.residentLines(), 2u);
+}
+
+namespace {
+
+/**
+ * Reference model for the differential test: a plain per-set LRU list
+ * (most recent first) holding at most `assoc` lines, with the MESI
+ * write-hit rule the default Cache applies inline.
+ */
+class RefCache
+{
+  public:
+    using Snapshot = std::vector<std::pair<Addr, LineState>>;
+
+    RefCache(std::uint64_t sets, int assoc, std::uint32_t line_bytes)
+        : sets_(sets), assoc_(assoc), lineBytes_(line_bytes)
+    {
+    }
+
+    CacheResult
+    access(Addr addr, bool is_write)
+    {
+        const LineState fill = is_write ? LineState::Dirty
+                                        : LineState::Shared;
+        return use(addr, fill, [is_write](LineState& st, CacheResult& r) {
+            if (is_write && st != LineState::Dirty) {
+                r.upgrade = true;
+                if (st == LineState::Shared)
+                    st = LineState::Dirty;
+            }
+        });
+    }
+
+    CacheResult
+    install(Addr addr, LineState fill)
+    {
+        return use(addr, fill, [fill](LineState& st, CacheResult&) {
+            if (fill == LineState::Dirty)
+                st = LineState::Dirty;
+        });
+    }
+
+    LineState
+    probe(Addr addr)
+    {
+        auto [set, it] = locate(addr);
+        return it == set->end() ? LineState::Invalid : it->second;
+    }
+
+    LineState
+    invalidate(Addr addr)
+    {
+        auto [set, it] = locate(addr);
+        if (it == set->end())
+            return LineState::Invalid;
+        const LineState st = it->second;
+        set->erase(it);
+        return st;
+    }
+
+    void
+    downgrade(Addr addr)
+    {
+        auto [set, it] = locate(addr);
+        if (it != set->end() && it->second == LineState::Dirty)
+            it->second = LineState::Shared;
+    }
+
+    void
+    setState(Addr addr, LineState st)
+    {
+        locate(addr).second->second = st;
+    }
+
+    void
+    reset()
+    {
+        lines_.clear();
+        touched_.clear();
+    }
+
+    Snapshot
+    contents() const
+    {
+        Snapshot out;
+        for (const auto& [idx, set] : lines_)
+            for (const auto& [line, st] : set)
+                out.emplace_back(line * lineBytes_, st);
+        std::sort(out.begin(), out.end());
+        return out;
+    }
+
+    std::uint64_t touchedSets() const { return touched_.size(); }
+
+  private:
+    /// (line, state), most recently used first.
+    using Set = std::vector<std::pair<std::uint64_t, LineState>>;
+
+    std::pair<Set*, Set::iterator>
+    locate(Addr addr)
+    {
+        const std::uint64_t line = addr / lineBytes_;
+        Set& set = lines_[line % sets_];
+        return {&set, std::find_if(set.begin(), set.end(),
+                                   [line](const auto& e) {
+                                       return e.first == line;
+                                   })};
+    }
+
+    /// Lookup-and-allocate: a hit applies `on_hit` and becomes most
+    /// recent; a miss evicts the least recent line of a full set.
+    template <typename OnHit>
+    CacheResult
+    use(Addr addr, LineState fill, OnHit on_hit)
+    {
+        CacheResult r;
+        const std::uint64_t line = addr / lineBytes_;
+        touched_.insert(line % sets_);
+        auto [set, it] = locate(addr);
+        if (it != set->end()) {
+            r.hit = true;
+            on_hit(it->second, r);
+            std::rotate(set->begin(), it, it + 1);
+            return r;
+        }
+        if (set->size() == static_cast<std::size_t>(assoc_)) {
+            r.victim = set->back().first * lineBytes_;
+            r.victimState = set->back().second;
+            set->pop_back();
+        }
+        set->insert(set->begin(), {line, fill});
+        return r;
+    }
+
+    std::uint64_t sets_;
+    int assoc_;
+    std::uint32_t lineBytes_;
+    std::map<std::uint64_t, Set> lines_; ///< by set index
+    std::set<std::uint64_t> touched_;
+};
+
+RefCache::Snapshot
+snapshot(const Cache& c)
+{
+    RefCache::Snapshot out;
+    c.forEachLine([&out](Addr a, LineState st) { out.emplace_back(a, st); });
+    std::sort(out.begin(), out.end());
+    return out;
+}
+
+void
+expectSameResult(const CacheResult& got, const CacheResult& want)
+{
+    EXPECT_EQ(got.hit, want.hit);
+    EXPECT_EQ(got.upgrade, want.upgrade);
+    EXPECT_EQ(got.victim, want.victim);
+    EXPECT_EQ(got.victimState, want.victimState);
+}
+
+/// Drive `c` and a RefCache of the same geometry through one seeded
+/// random sequence, comparing every result and the full contents after
+/// each op. Addresses come from a few sets with more tags than ways, so
+/// sets fill, evict and get invalidated.
+void
+runDifferential(Cache& c, std::uint64_t seed, int ops)
+{
+    RefCache ref(c.numSets(), c.assoc(), c.lineBytes());
+    std::mt19937_64 rng(seed);
+    const std::uint64_t n_sets =
+        std::min<std::uint64_t>(c.numSets(), 6);
+    std::vector<std::uint64_t> hot_sets;
+    for (std::uint64_t i = 0; i < n_sets; ++i)
+        hot_sets.push_back(c.numSets() <= 6 ? i : rng() % c.numSets());
+    const std::uint64_t n_tags = 3 * c.assoc() + 1;
+    auto addr = [&] {
+        const std::uint64_t set = hot_sets[rng() % hot_sets.size()];
+        const std::uint64_t line = (rng() % n_tags) * c.numSets() + set;
+        return line * c.lineBytes() + rng() % c.lineBytes();
+    };
+    constexpr LineState kFill[] = {LineState::Shared, LineState::Dirty,
+                                   LineState::Owned};
+
+    EXPECT_EQ(c.residentLines(), 0u);
+    EXPECT_EQ(c.touchedSets(), 0u);
+    for (int i = 0; i < ops; ++i) {
+        SCOPED_TRACE(testing::Message() << "seed " << seed << " op " << i);
+        const Addr a = addr();
+        const int pick = static_cast<int>(rng() % 100);
+        if (pick < 30) {
+            expectSameResult(c.access(a, false), ref.access(a, false));
+        } else if (pick < 50) {
+            expectSameResult(c.access(a, true), ref.access(a, true));
+        } else if (pick < 60) {
+            const LineState st = kFill[rng() % 3];
+            expectSameResult(c.install(a, st), ref.install(a, st));
+        } else if (pick < 72) {
+            EXPECT_EQ(c.invalidate(a), ref.invalidate(a));
+        } else if (pick < 82) {
+            c.downgrade(a);
+            ref.downgrade(a);
+        } else if (pick < 90) {
+            // setState needs a resident line.
+            const RefCache::Snapshot lines = ref.contents();
+            if (!lines.empty()) {
+                const Addr r = lines[rng() % lines.size()].first;
+                const LineState st = kFill[rng() % 3];
+                c.setState(r, st);
+                ref.setState(r, st);
+            }
+        } else if (pick < 99) {
+            EXPECT_EQ(c.probe(a), ref.probe(a));
+        } else {
+            c.reset();
+            ref.reset();
+        }
+        EXPECT_EQ(c.probe(a), ref.probe(a));
+        const RefCache::Snapshot want = ref.contents();
+        EXPECT_EQ(c.residentLines(), want.size());
+        EXPECT_EQ(snapshot(c), want);
+        EXPECT_EQ(c.touchedSets(), ref.touchedSets());
+        if (testing::Test::HasFailure())
+            return;
+    }
+}
+
+} // namespace
+
+TEST(CacheDifferential, MatchesReferenceLruAcrossGeometries)
+{
+    struct Geometry {
+        std::uint64_t bytes;
+        int assoc;
+    };
+    const Geometry geometries[] = {
+        {4 * kLine, 1},   // tiny, direct-mapped
+        {8 * kLine, 2},   // tiny, 2-way
+        {16 * kLine, 4},  // tiny, 4-way
+        {2 * kLine, 2},   // a single set
+        {4 << 20, 1},     // Origin L2 size, direct-mapped
+        {4 << 20, 2},     // the Origin L2
+        {4 << 20, 4},
+    };
+    for (const Geometry& g : geometries) {
+        for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+            SCOPED_TRACE(testing::Message() << g.bytes << " B, "
+                                            << g.assoc << "-way");
+            Cache c(g.bytes, g.assoc, kLine);
+            runDifferential(c, seed, 2000);
+            if (HasFailure())
+                return;
+        }
+    }
+}
+
+TEST(CacheDifferential, RecycledGarbageBacksAFreshCache)
+{
+    // The way array is left uninitialised, so a cache built on a heap
+    // chunk some earlier owner filled must still start empty. Free a
+    // block of the Origin L2's array size (16 B of way state per line)
+    // filled with 0xFF just before building the cache, so the allocator
+    // is likely to hand the same chunk back. Freeing a first block of
+    // that size makes the second come from the heap rather than mmap.
+    const std::uint64_t bytes = 4 << 20;
+    const std::size_t array_bytes = bytes / kLine * 16;
+    ::operator delete(::operator new(array_bytes));
+    void* garbage = ::operator new(array_bytes);
+    volatile unsigned char* p = static_cast<unsigned char*>(garbage);
+    for (std::size_t i = 0; i < array_bytes; ++i)
+        p[i] = 0xFF;
+    ::operator delete(garbage);
+
+    Cache c(bytes, 2, kLine);
+    for (std::uint64_t set = 0; set < c.numSets(); set += 97)
+        EXPECT_EQ(c.probe(set * kLine), LineState::Invalid);
+    runDifferential(c, 7, 4000);
 }

@@ -212,3 +212,30 @@ TEST(MachineBasic, SubsetBarrier)
     EXPECT_EQ(r.procs[1].c.barriersPassed, 1u);
     EXPECT_EQ(r.procs[2].c.barriersPassed, 0u);
 }
+
+TEST(MachineBasic, CacheSetsInitialiseOnFirstTouch)
+{
+    // Building a machine initialises no cache set, whatever its size; a
+    // run initialises at most one set per distinct line it touches.
+    constexpr int kProcs = 256;
+    constexpr int kLines = 24;
+    Machine m(MachineConfig::origin2000(kProcs));
+    for (int p = 0; p < kProcs; ++p)
+        ASSERT_EQ(m.mem().cache(p).touchedSets(), 0u) << "proc " << p;
+
+    const std::uint32_t line = m.config().lineBytes;
+    const Addr a = m.alloc(kLines * line);
+    m.run([a, line](Cpu& cpu) -> Task {
+        for (int i = 0; i < kLines; ++i)
+            cpu.read(a + ((cpu.id() + i) % kLines) * line);
+        if (cpu.id() % 16 == 0)
+            cpu.write(a + (cpu.id() / 16) * line);
+        co_return;
+    });
+    for (int p = 0; p < kProcs; ++p)
+        EXPECT_LE(m.mem().cache(p).touchedSets(),
+                  static_cast<std::uint64_t>(kLines))
+            << "proc " << p;
+    EXPECT_EQ(m.mem().cache(0).touchedSets(),
+              static_cast<std::uint64_t>(kLines));
+}

@@ -7,6 +7,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+
 #include "apps/registry.hh"
 #include "core/study.hh"
 
@@ -15,7 +18,7 @@ using namespace ccnuma;
 namespace {
 
 sim::Cycles
-runWithQuantum(const char* app, std::uint64_t size, sim::Cycles q)
+runWithQuantum(const std::string& app, std::uint64_t size, sim::Cycles q)
 {
     sim::MachineConfig cfg;
     cfg.numProcs = 16;
@@ -26,8 +29,11 @@ runWithQuantum(const char* app, std::uint64_t size, sim::Cycles q)
 
 } // namespace
 
+// The app name is a std::string, not a const char*: gtest prints a
+// pointer parameter with its address, and the address (part of the
+// listed test name) would change from build to build.
 class QuantumSweep
-    : public ::testing::TestWithParam<std::pair<const char*, std::uint64_t>>
+    : public ::testing::TestWithParam<std::pair<std::string, std::uint64_t>>
 {
 };
 
@@ -45,11 +51,11 @@ TEST_P(QuantumSweep, TimeInsensitiveToQuantum)
 
 INSTANTIATE_TEST_SUITE_P(
     Apps, QuantumSweep,
-    ::testing::Values(std::make_pair("fft", std::uint64_t{1 << 14}),
-                      std::make_pair("ocean", std::uint64_t{130}),
-                      std::make_pair("radix", std::uint64_t{1 << 16}),
-                      std::make_pair("water-spatial",
-                                     std::uint64_t{1024})),
+    ::testing::Values(
+        std::make_pair(std::string("fft"), std::uint64_t{1 << 14}),
+        std::make_pair(std::string("ocean"), std::uint64_t{130}),
+        std::make_pair(std::string("radix"), std::uint64_t{1 << 16}),
+        std::make_pair(std::string("water-spatial"), std::uint64_t{1024})),
     [](const auto& info) {
         std::string n = info.param.first;
         for (auto& ch : n)
