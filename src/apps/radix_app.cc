@@ -1,6 +1,9 @@
 #include "apps/radix_app.hh"
 
+#include <algorithm>
+#include <limits>
 #include <numeric>
+#include <stdexcept>
 
 #include "kernels/sort.hh"
 
@@ -31,21 +34,31 @@ RadixApp::setup(Machine& m)
 
     // Host-side: run the real radix passes to obtain per-proc,
     // per-digit counts for each pass (drives permutation addressing and
-    // captures real load imbalance).
+    // captures real load imbalance), kept as chunk start offsets.
+    if (cfg_.numKeys > std::numeric_limits<std::uint32_t>::max())
+        throw std::invalid_argument("radix: more than 2^32-1 keys");
     auto keys = kernels::randomKeys(cfg_.numKeys, cfg_.seed);
-    counts_.resize(cfg_.passes);
     const int radix = 1 << cfg_.radixBits;
-    std::vector<std::uint32_t> next;
+    starts_.assign(cfg_.passes, std::vector<std::uint32_t>(
+                                    static_cast<std::size_t>(radix) *
+                                        nprocs_ + 1, 0));
+    std::vector<std::uint32_t> next, hist(radix);
     for (int pass = 0; pass < cfg_.passes; ++pass) {
-        counts_[pass].assign(nprocs_,
-                             std::vector<std::uint32_t>(radix, 0));
+        std::vector<std::uint32_t>& st = starts_[pass];
         for (int p = 0; p < nprocs_; ++p) {
+            // Count into one proc's histogram (cache-resident), then
+            // scatter it into the (digit, proc) layout.
+            std::fill(hist.begin(), hist.end(), 0);
             const auto [b, e] = blockRange(cfg_.numKeys, nprocs_, p);
             for (std::uint64_t i = b; i < e; ++i)
-                ++counts_[pass][p]
-                         [(keys[i] >> (pass * cfg_.radixBits)) &
-                          (radix - 1)];
+                ++hist[(keys[i] >> (pass * cfg_.radixBits)) & (radix - 1)];
+            for (int d = 0; d < radix; ++d)
+                st[static_cast<std::size_t>(d) * nprocs_ + p] = hist[d];
         }
+        // Counts -> exclusive prefix in (digit, proc) order; the final
+        // entry becomes numKeys.
+        std::exclusive_scan(st.begin(), st.end(), st.begin(),
+                            std::uint32_t{0});
         kernels::radixPass(keys, next, pass * cfg_.radixBits,
                            cfg_.radixBits);
         keys.swap(next);
@@ -58,10 +71,10 @@ RadixApp::program()
     const RadixConfig cfg = cfg_;
     const Addr keysA = keysA_, keysB = keysB_, hists = hists_;
     const BarrierId bar = bar_;
-    const auto* counts = &counts_;
+    const auto* starts = &starts_;
     const std::uint32_t page = 16384;
 
-    return [cfg, keysA, keysB, hists, bar, counts, page](
+    return [cfg, keysA, keysB, hists, bar, starts, page](
                Cpu& cpu) -> Task {
         const int P = cpu.nprocs();
         const int p = cpu.id();
@@ -115,24 +128,20 @@ RadixApp::program()
             // scatter into 2^bits open destination chunks; a simulated
             // write is issued each time a chunk cursor enters a new
             // line (write-allocate + later writeback traffic). ---
-            const auto& my_counts = (*counts)[pass][p];
-            // Global start offset of our chunk for each digit.
-            std::vector<std::uint64_t> cursor(radix, 0);
-            {
-                std::uint64_t digit_base = 0;
-                for (int d = 0; d < radix; ++d) {
-                    std::uint64_t mine = digit_base;
-                    for (int q = 0; q < p; ++q)
-                        mine += (*counts)[pass][q][d];
-                    cursor[d] = mine;
-                    for (int q = 0; q < P; ++q)
-                        digit_base += (*counts)[pass][q][d];
-                }
+            // Global start offset and key count of our chunk for each
+            // digit (our chunk ends where the next one in (digit, proc)
+            // order starts).
+            const std::vector<std::uint32_t>& st = (*starts)[pass];
+            std::vector<std::uint64_t> cursor(radix);
+            std::vector<std::uint32_t> remaining(radix);
+            for (int d = 0; d < radix; ++d) {
+                const std::size_t at = static_cast<std::size_t>(d) * P + p;
+                cursor[d] = st[at];
+                remaining[d] = st[at + 1] - st[at];
             }
             // Walk digits round-robin to interleave chunk streams the
             // way in-order key processing does (keys of different
             // digits alternate), issuing one write per line crossed.
-            std::vector<std::uint32_t> remaining = my_counts;
             std::uint64_t src_cursor = key_b;
             std::uint64_t src_pending = 0;
             bool any = true;

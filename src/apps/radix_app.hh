@@ -37,8 +37,11 @@ class RadixApp : public App
     RadixConfig cfg_;
     sim::Addr keysA_ = 0, keysB_ = 0, hists_ = 0;
     sim::BarrierId bar_;
-    /// counts_[pass][proc][digit]: real key counts (host-computed).
-    std::vector<std::vector<std::vector<std::uint32_t>>> counts_;
+    /// starts_[pass][digit * nprocs + proc]: offset of proc's chunk of
+    /// that digit's keys in the pass's destination array (host-computed
+    /// from the real keys), plus a final entry numKeys; a chunk's key
+    /// count is the next entry minus its own.
+    std::vector<std::vector<std::uint32_t>> starts_;
     int nprocs_ = 0;
 };
 

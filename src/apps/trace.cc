@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <charconv>
 #include <cstdio>
+#include <limits>
 #include <stdexcept>
 #include <string_view>
 #include <utility>
@@ -429,7 +430,11 @@ TraceReplayApp::setup(sim::Machine& m)
             locks_.push_back(m.lockCreate());
             break;
         case Trace::Setup::Kind::Place:
-            m.place(s.a, s.b, static_cast<sim::NodeId>(s.c));
+            // Narrow only values that fit; Machine::place rejects
+            // every node outside the machine.
+            m.place(s.a, s.b,
+                    static_cast<sim::NodeId>(std::min<std::uint64_t>(
+                        s.c, std::numeric_limits<sim::NodeId>::max())));
             break;
         case Trace::Setup::Kind::PlaceAcross:
             m.placeAcrossProcs(s.a, s.b);

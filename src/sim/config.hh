@@ -119,10 +119,6 @@ struct CheckConfig {
     /// the differential-test seam for the flat sharded directory.
     /// Costs one map operation per directory operation when on.
     bool shadowDirectory = false;
-    /// Drive the scheduler from the legacy std::priority_queue instead
-    /// of the calendar queue (cycle-identity test seam: both orders
-    /// must produce bit-identical runs).
-    bool legacySchedulerQueue = false;
     /// Run MemSys::access through the preserved hard-coded MESI body
     /// instead of the table-driven protocol engine (bit-identity test
     /// seam; valid only for protocol=mesi + dirFormat=fullbv). Both
@@ -130,8 +126,7 @@ struct CheckConfig {
     bool legacyMesiPath = false;
     /// Force the serial engine even when simJobs asks for parallel
     /// execution (bit-identity test seam for the node-sharded scout/
-    /// replay engine, like legacySchedulerQueue). Both engines must
-    /// produce bit-identical runs.
+    /// replay engine). Both engines must produce bit-identical runs.
     bool serialEngine = false;
 };
 

@@ -90,16 +90,26 @@ Cpu::reschedule()
     sched_->ready(id_, now_);
 }
 
+bool
+Cpu::yieldInPlace()
+{
+    if (scout_) [[unlikely]] {
+        scout_->yielded = true;
+        return false;
+    }
+    if (!sched_->yield(id_, now_))
+        return false;
+    beginQuantum(sched_->quantum());
+    return true;
+}
+
 void
 Cpu::markBlocked()
 {
-    if (scout_) [[unlikely]] {
+    // The scheduler needs no call: a processor that returns to it
+    // without having re-queued itself is blocked (or done).
+    if (scout_) [[unlikely]]
         scout_->parked = true;
-        if (nestedDepth_ > 0)
-            nestedBlocked_ = true;
-        return;
-    }
-    sched_->block(id_);
     if (nestedDepth_ > 0)
         nestedBlocked_ = true;
 }

@@ -147,15 +147,16 @@ class Cpu
     // ---- awaitable yield point ----
     struct Checkpoint {
         Cpu& cpu;
-        bool await_ready() const noexcept { return !cpu.quantumUp(); }
-        void
-        await_suspend(std::coroutine_handle<>) const noexcept
+        bool
+        await_ready() const noexcept
         {
-            cpu.reschedule();
+            return !cpu.quantumUp() || cpu.yieldInPlace();
         }
+        void await_suspend(std::coroutine_handle<>) const noexcept {}
         void await_resume() const noexcept {}
     };
-    /// Yield to the scheduler if this processor ran past its quantum.
+    /// Yield to the scheduler if this processor ran past its quantum
+    /// (suspending only if another processor is now earlier).
     /// Call this in every outer loop iteration of application code.
     Checkpoint
     checkpoint()
@@ -220,20 +221,25 @@ class Cpu
     }
 
     // ---- awaitable blocking synchronization ----
+    /// A nested SyncAwait always suspends when it yields: the
+    /// CCNUMA_RUN_NESTED driver then issues (and records) the
+    /// follow-up checkpoint() that keeps running or suspends.
     struct SyncAwait {
         Cpu& cpu;
         bool blocked;
         bool
         await_ready() const noexcept
         {
-            return !blocked && !cpu.quantumUp();
+            return !blocked &&
+                   (!cpu.quantumUp() ||
+                    (cpu.nestedDepth_ == 0 && cpu.yieldInPlace()));
         }
         void
         await_suspend(std::coroutine_handle<>) const noexcept
         {
             if (blocked)
                 cpu.markBlocked();
-            else
+            else if (cpu.nestedDepth_ > 0)
                 cpu.reschedule();
         }
         void await_resume() const noexcept {}
@@ -309,7 +315,11 @@ class Cpu
 
   private:
     void reschedule();  ///< Re-queue self at `now_` (yield).
-    void markBlocked(); ///< Tell the scheduler we are blocked.
+    /// Quantum up at a yield point: re-queue self at `now_`; if still
+    /// the earliest runnable processor, start a fresh quantum and
+    /// return true (keep running, no suspension).
+    bool yieldInPlace();
+    void markBlocked(); ///< Flag a nested synchronization block.
     void
     scoutOp(OpKind k, std::uint64_t arg, Cycles cost)
     {

@@ -17,7 +17,18 @@ Machine::Machine(const MachineConfig& cfg)
     if (!err.empty())
         throw std::invalid_argument("bad MachineConfig: " + err);
     sched_.setQuantum(cfg_.quantum);
-    sched_.setLegacyQueue(cfg_.check.legacySchedulerQueue);
+}
+
+void
+Machine::place(Addr addr, std::uint64_t bytes, NodeId node)
+{
+    if (node < 0 || node >= cfg_.numNodes())
+        throw std::invalid_argument(
+            "Machine::place: node " + std::to_string(node) +
+            " outside [0, " + std::to_string(cfg_.numNodes()) + ")");
+    if (rec_)
+        rec_->onPlace(addr, bytes, node);
+    mem_.place(addr, bytes, node);
 }
 
 Addr

@@ -55,13 +55,8 @@ class Machine
     Addr allocLine();
 
     /// Manual page placement (no-ops unless Placement::Explicit).
-    void
-    place(Addr addr, std::uint64_t bytes, NodeId node)
-    {
-        if (rec_)
-            rec_->onPlace(addr, bytes, node);
-        mem_.place(addr, bytes, node);
-    }
+    /// @throws std::invalid_argument if `node` is not in [0, numNodes).
+    void place(Addr addr, std::uint64_t bytes, NodeId node);
     /// Place `bytes` from `addr` in contiguous blocks across the nodes of
     /// processes 0..nprocs-1 in order (the canonical manual layout).
     void placeAcrossProcs(Addr addr, std::uint64_t bytes);

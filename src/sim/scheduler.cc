@@ -7,30 +7,34 @@
 namespace ccnuma::sim {
 
 void
+Scheduler::attach(std::vector<Cpu>* cpus)
+{
+    cpus_ = cpus;
+    handle_.assign(cpus->size(), {});
+    tree_.reset(static_cast<int>(cpus->size()));
+}
+
+void
 Scheduler::run()
 {
     const Cycles quantum = quantum_;
     while (live_ > 0) {
-        if (queueEmpty())
+        const ProcId p = tree_.dispatch();
+        if (p == kNoProc)
             throw std::runtime_error(
                 "simulator deadlock: processors blocked with no runnable "
                 "work (missing barrier participant or unreleased lock?)");
-        const SchedEvent e = queuePop();
-        if (state_[e.p] != State::Ready || queuedTime_[e.p] != e.time)
-            continue; // stale heap entry
-        current_ = e.p;
-        Cpu& cpu = (*cpus_)[e.p];
-        cpu.beginQuantum(quantum);
-        // Mark not-ready so a stale pop can't double-run us; the
-        // coroutine re-queues itself via ready()/block() on suspension.
-        state_[e.p] = State::Blocked;
-        handle_[e.p].resume();
-        if (handle_[e.p].done()) {
-            state_[e.p] = State::Done;
-            --live_;
+        ++dispatches_;
+        (*cpus_)[p].beginQuantum(quantum);
+        handle_[p].resume();
+        // A yield re-keyed p (and ended its run); still running means
+        // it blocked on synchronization or finished.
+        if (tree_.running() == p) {
+            tree_.idle(p);
+            if (handle_[p].done())
+                --live_;
         }
     }
-    current_ = kNoProc;
 }
 
 } // namespace ccnuma::sim

@@ -12,12 +12,10 @@
 #ifndef CCNUMA_SIM_SCHEDULER_HH
 #define CCNUMA_SIM_SCHEDULER_HH
 
-#include <coroutine>
 #include <cstdint>
-#include <queue>
+#include <limits>
 #include <vector>
 
-#include "sim/calqueue.hh"
 #include "sim/task.hh"
 #include "sim/types.hh"
 
@@ -25,88 +23,141 @@ namespace ccnuma::sim {
 
 class Cpu;
 
+/**
+ * Winner tree over the processors' ready keys: one leaf per processor,
+ * keyed by (time, seq), each internal node holding the smaller key of
+ * its two children. Leaves live at [n, 2n) and node i's children at 2i
+ * and 2i+1, so any n works and a re-key costs one leaf-to-root path.
+ *
+ * Ordering contract: keys order by time, then by the seq of the
+ * ready() that set them; readying an already-queued processor at its
+ * queued time keeps the earlier seq, at any other time takes a fresh
+ * one. That is the order of a heap holding one entry per ready() and
+ * skipping entries whose processor has since been re-readied at
+ * another time, so simulated results do not depend on which of the
+ * two the scheduler uses. The dispatched processor's leaf keeps its
+ * spent dispatch key until the processor re-keys or goes idle, so
+ * dispatch itself costs nothing.
+ */
+class ReadyTree
+{
+  public:
+    /// Size for `n` processors, all idle.
+    void
+    reset(int n)
+    {
+        n_ = n;
+        node_.assign(2 * static_cast<std::size_t>(n), Node{});
+        seq_ = 0;
+        running_ = kNoProc;
+    }
+
+    /// Make `p` runnable at `t` (see the ordering contract).
+    void
+    ready(ProcId p, Cycles t)
+    {
+        Node& leaf = node_[n_ + p];
+        if (leaf.time == t && p != running_)
+            return; // still queued at t: the earlier seq stands
+        if (p == running_)
+            running_ = kNoProc;
+        leaf = Node{t, seq_++, p};
+        update(p);
+    }
+    /// Take `p` out of contention (blocked or finished).
+    void
+    idle(ProcId p)
+    {
+        if (p == running_)
+            running_ = kNoProc;
+        node_[n_ + p] = Node{};
+        update(p);
+    }
+
+    /// The earliest runnable processor, or kNoProc if none is.
+    ProcId top() const { return node_[1].p; }
+    /// Dispatch top(): it becomes running() until it re-keys or goes
+    /// idle. Returns kNoProc (and dispatches nothing) if none is ready.
+    ProcId dispatch() { return running_ = top(); }
+    ProcId running() const { return running_; }
+
+  private:
+    struct Node {
+        Cycles time = std::numeric_limits<Cycles>::max(); ///< idle: max
+        std::uint64_t seq = 0;
+        ProcId p = kNoProc;
+    };
+
+    static bool
+    before(const Node& a, const Node& b)
+    {
+        return a.time != b.time ? a.time < b.time : a.seq < b.seq;
+    }
+
+    /// Recompute the winners on the path from p's leaf to the root.
+    void
+    update(ProcId p)
+    {
+        for (std::size_t i = (n_ + p) >> 1; i >= 1; i >>= 1)
+            node_[i] = before(node_[2 * i + 1], node_[2 * i])
+                           ? node_[2 * i + 1]
+                           : node_[2 * i];
+    }
+
+    std::vector<Node> node_; ///< [1, n): winners; [n, 2n): leaves
+    std::size_t n_ = 0;
+    std::uint64_t seq_ = 0;
+    ProcId running_ = kNoProc;
+};
+
 /** Cooperative scheduler over the simulated processors. */
 class Scheduler
 {
   public:
-    void attach(std::vector<Cpu>* cpus) { cpus_ = cpus; }
-    void
-    setQuantum(Cycles q)
-    {
-        quantum_ = q;
-        cal_.setSpan(q);
-    }
-    /// Test seam: drive the ready list from the legacy
-    /// std::priority_queue instead of the calendar queue. Both produce
-    /// the same pop order (the cycle-identity tests prove it); the
-    /// calendar queue is simply faster. Select before spawn().
-    void setLegacyQueue(bool on) { legacy_ = on; }
+    /// Drive `cpus`, one tree leaf each. Call before spawn().
+    void attach(std::vector<Cpu>* cpus);
+    void setQuantum(Cycles q) { quantum_ = q; }
+    Cycles quantum() const { return quantum_; }
     void
     spawn(ProcId p, Task::Handle h)
     {
-        if (static_cast<std::size_t>(p) >= state_.size())
-            state_.resize(p + 1, State::Done);
-        if (static_cast<std::size_t>(p) >= handle_.size())
-            handle_.resize(p + 1);
         handle_[p] = h;
-        state_[p] = State::Ready;
         ready(p, 0);
         ++live_;
     }
 
-    /// Make a (blocked or yielded) processor runnable at `time`.
-    /// Inline: called once per scheduling episode (for miss-heavy
-    /// workloads, nearly once per memory access).
-    void
-    ready(ProcId p, Cycles time)
+    /// Make a blocked (or yielding) processor runnable at `time`.
+    /// Inline: called once per synchronization wake-up.
+    void ready(ProcId p, Cycles time) { tree_.ready(p, time); }
+
+    /// The running processor `p` reached a yield point at `now` with
+    /// its quantum up: re-key it at `now`. True if it is still the
+    /// earliest runnable processor, i.e. exactly when a suspension
+    /// would dispatch it again next; it then keeps running in place.
+    bool
+    yield(ProcId p, Cycles now)
     {
-        if (static_cast<std::size_t>(p) >= queuedTime_.size())
-            [[unlikely]]
-            queuedTime_.resize(p + 1, 0);
-        state_[p] = State::Ready;
-        queuedTime_[p] = time;
-        if (!legacy_) [[likely]]
-            cal_.push(SchedEvent{time, seq_++, p});
-        else
-            pq_.push(SchedEvent{time, seq_++, p});
+        tree_.ready(p, now);
+        if (tree_.top() != p)
+            return false;
+        tree_.dispatch();
+        return true;
     }
-    /// Mark a processor blocked on synchronization.
-    void block(ProcId p) { state_[p] = State::Blocked; }
 
     /// Run until every spawned processor finishes.
     /// @throws std::runtime_error on deadlock.
     void run();
 
-    ProcId current() const { return current_; }
+    /// Coroutine resumes so far (yields kept in place do not count).
+    std::uint64_t dispatches() const { return dispatches_; }
 
   private:
-    enum class State : std::uint8_t { Ready, Blocked, Done };
-
-    bool queueEmpty() const { return legacy_ ? pq_.empty() : cal_.empty(); }
-    SchedEvent
-    queuePop()
-    {
-        if (!legacy_) [[likely]]
-            return cal_.pop();
-        const SchedEvent e = pq_.top();
-        pq_.pop();
-        return e;
-    }
-
     std::vector<Cpu>* cpus_ = nullptr;
-    std::vector<State> state_;
     std::vector<Task::Handle> handle_;
-    std::vector<Cycles> queuedTime_;
-    CalendarQueue cal_;
-    /// Legacy ready list, active only with setLegacyQueue(true).
-    std::priority_queue<SchedEvent, std::vector<SchedEvent>,
-                        SchedEventAfter>
-        pq_;
-    bool legacy_ = false;
-    std::uint64_t seq_ = 0;
+    ReadyTree tree_;
     int live_ = 0;
     Cycles quantum_ = 2000;
-    ProcId current_ = kNoProc;
+    std::uint64_t dispatches_ = 0;
 };
 
 } // namespace ccnuma::sim

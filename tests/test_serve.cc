@@ -95,6 +95,12 @@ const std::string kStudyReq =
 const std::string kPoisonTraceReq =
     R"({"id":"p1","type":"trace","trace":"ccnuma-trace v1\nprocs 1\nalloc 4096\nops 0 2\nr 1048576\nB 7\nend\n"})";
 
+/// A well-formed trace that places a page on node 999, which no
+/// machine the server builds has: passes parsing and wire validation,
+/// fails when the replay sets up its machine.
+const std::string kBadPlaceTraceReq =
+    R"({"id":"n1","type":"trace","trace":"ccnuma-trace v1\nprocs 1\nalloc 16384\nplace 1048576 16384 999\nops 0 1\nr 1048576\nend\n"})";
+
 serve::ServerOptions
 testOptions()
 {
@@ -382,6 +388,24 @@ TEST(Serve, SimFailureDoesNotPoisonTheCache)
     // And the server still works.
     const json::Value ok = parseResponse(c.roundTrip(kStudyReq));
     EXPECT_TRUE(isOk(ok)) << field(ok, "detail");
+    server.stop();
+}
+
+TEST(Serve, OutOfRangePlaceIsTypedErrorAndServerSurvives)
+{
+    serve::Server server(testOptions());
+    server.start();
+    TestClient c(server.port());
+    const json::Value r = parseResponse(c.roundTrip(kBadPlaceTraceReq));
+    EXPECT_FALSE(isOk(r));
+    EXPECT_EQ(field(r, "id"), "n1");
+    EXPECT_EQ(field(r, "error"), "sim-failed");
+    EXPECT_NE(field(r, "detail").find("node 999"), std::string::npos)
+        << field(r, "detail");
+
+    const json::Value ping =
+        parseResponse(c.roundTrip(R"({"id":"a","type":"ping"})"));
+    EXPECT_TRUE(isOk(ping));
     server.stop();
 }
 

@@ -128,6 +128,37 @@ TEST(TraceReplay, ReplayOnDifferentMachine)
     EXPECT_EQ(a.lockAcquires, b.lockAcquires);
 }
 
+// The recorded text is pinned, not only replayable: fft runs its
+// phases as nested coroutines (a nested checkpoint is followed by the
+// driver's own checkpoint, two `y` ops), and raytrace/volrend dequeue
+// through a nested task-queue lock acquire. A scheduler change that
+// skipped either suspension would drop ops from the streams while
+// every replay above still matched its own recording.
+TEST(TraceReplay, RecordedTextMatchesPinnedHash)
+{
+    struct Pin {
+        const char* app;
+        std::uint64_t size;
+        int procs;
+        const char* hash;
+    };
+    const Pin pins[] = {
+        {"fft", 1u << 10, 4, "533c28b00c03718e"},
+        {"fft", 1u << 10, 8, "a270c00de7fa1c36"},
+        {"raytrace", 32, 4, "8f570c3549eeab8f"},
+        {"raytrace", 32, 8, "2b19bf480d296a72"},
+        {"volrend", 32, 4, "b61f2cfafdc1d592"},
+        {"volrend", 32, 8, "f2c858a0f5a70c07"},
+    };
+    for (const Pin& pin : pins) {
+        auto app = apps::makeApp(pin.app, pin.size);
+        const apps::RecordedTrace rec =
+            recordTrace(sim::MachineConfig::origin2000(pin.procs), *app);
+        EXPECT_EQ(rec.trace.hashHex(), pin.hash)
+            << pin.app << " P=" << pin.procs;
+    }
+}
+
 TEST(TraceReplay, ProcsMismatchThrows)
 {
     auto app = apps::makeApp("fft", 1u << 10);
@@ -213,6 +244,23 @@ TEST(TraceFormat, DanglingBarrierIndexThrowsMidSim)
     sim::Machine m(sim::MachineConfig::origin2000(1));
     replay.setup(m);
     EXPECT_THROW(m.run(replay.program()), std::out_of_range);
+}
+
+// Placement on a node the machine lacks is syntactically fine and
+// must fail as a typed exception in setup, not as an abort.
+// 2^32 would wrap to node 0 if narrowed unchecked.
+TEST(TraceFormat, PlaceOnMissingNodeThrowsInSetup)
+{
+    for (const char* node : {"999", "4294967296"}) {
+        const apps::TraceParseResult r = apps::parseTrace(
+            std::string("ccnuma-trace v1\nprocs 1\nalloc 16384\nplace "
+                        "1048576 16384 ") +
+            node + "\nops 0 1\nr 1048576\nend\n");
+        ASSERT_TRUE(r.ok) << r.error;
+        apps::TraceReplayApp replay(r.trace);
+        sim::Machine m(sim::MachineConfig::origin2000(1));
+        EXPECT_THROW(replay.setup(m), std::invalid_argument) << node;
+    }
 }
 
 // Hand-written minimal trace: the format is writable by humans and
