@@ -21,32 +21,26 @@ log2Exact(std::uint64_t v)
 
 Cache::Cache(std::uint64_t bytes, int assoc, std::uint32_t line_bytes,
              const Protocol* proto)
-    : lineShift_(log2Exact(line_bytes)),
-      sets_(bytes / (static_cast<std::uint64_t>(line_bytes) * assoc)),
-      assoc_(assoc)
+    : lineShift_(log2Exact(line_bytes)), assoc_(assoc)
 {
+    if (assoc < 1)
+        throw std::invalid_argument("cache associativity must be >= 1");
+    sets_ = bytes / (static_cast<std::uint64_t>(line_bytes) * assoc);
     if (sets_ == 0 || (sets_ & (sets_ - 1)) != 0)
         throw std::invalid_argument("cache set count must be a power of 2");
     ways_ = std::make_unique_for_overwrite<Way[]>(
         sets_ * static_cast<std::uint64_t>(assoc_));
     setInit_.assign((sets_ + 63) / 64, 0);
     const Protocol& pr = proto ? *proto : Protocol::mesi();
+    // The concrete next states share LineState's numbering; Same and
+    // OwnedIfSharers map to Invalid, leaving the state for the engine.
+    static_assert(static_cast<int>(NextState::Owned) ==
+                  static_cast<int>(LineState::Owned));
     for (int s = 1; s < kProtoStates; ++s) {
-        switch (pr.req[kProtoWrite][s].next) {
-          case NextState::Shared:
-            writeHitNext_[s] = LineState::Shared;
-            break;
-          case NextState::Dirty:
-            writeHitNext_[s] = LineState::Dirty;
-            break;
-          case NextState::Owned:
-            writeHitNext_[s] = LineState::Owned;
-            break;
-          default:
-            // Same / OwnedIfSharers: leave the state for the engine.
-            writeHitNext_[s] = LineState::Invalid;
-            break;
-        }
+        const NextState nx = pr.req[kProtoWrite][s].next;
+        writeHitNext_[s] = nx < NextState::Same
+                               ? static_cast<LineState>(nx)
+                               : LineState::Invalid;
     }
     // A write hit on Dirty takes the no-upgrade fast path; keep the
     // slot inert whatever the table says.
@@ -58,44 +52,49 @@ LineState
 Cache::probe(Addr addr) const
 {
     const Way* w = find(lineOf(addr));
-    return w ? w->state : LineState::Invalid;
+    return w ? stateOf(*w) : LineState::Invalid;
 }
 
 LineState
 Cache::invalidate(Addr addr)
 {
-    if (Way* w = find(lineOf(addr))) {
-        const LineState st = w->state;
-        w->state = LineState::Invalid;
-        return st;
-    }
-    return LineState::Invalid;
+    const std::uint64_t line = lineOf(addr);
+    Way* w = find(line);
+    if (!w)
+        return LineState::Invalid;
+    const LineState st = stateOf(*w);
+    Way* end = &ways_[(setIndex(line) + 1) * assoc_];
+    std::copy(w + 1, end, w);
+    end[-1] = 0;
+    return st;
 }
 
 void
 Cache::downgrade(Addr addr)
 {
     if (Way* w = find(lineOf(addr)))
-        if (w->state == LineState::Dirty)
-            w->state = LineState::Shared;
+        if (stateOf(*w) == LineState::Dirty)
+            *w = withState(*w, LineState::Shared);
 }
 
 void
 Cache::setState(Addr addr, LineState st)
 {
+    if (st == LineState::Invalid)
+        throw std::invalid_argument(
+            "Cache::setState(Invalid) would break the set's recency "
+            "order; use invalidate()");
     Way* w = find(lineOf(addr));
     assert(w != nullptr);
     if (w)
-        w->state = st;
+        *w = withState(*w, st);
 }
 
 void
 Cache::initSet(std::uint64_t set)
 {
     setInit_[set >> 6] |= std::uint64_t{1} << (set & 63);
-    Way* base = &ways_[set * assoc_];
-    for (int w = 0; w < assoc_; ++w)
-        base[w] = Way{0, LineState::Invalid, 0};
+    std::fill_n(&ways_[set * assoc_], assoc_, Way{0});
 }
 
 std::uint64_t
@@ -110,7 +109,6 @@ void
 Cache::reset()
 {
     std::fill(setInit_.begin(), setInit_.end(), 0);
-    useClock_ = 0;
 }
 
 std::uint64_t

@@ -15,6 +15,7 @@
 #include <cassert>
 #include <cstdint>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "sim/protocol.hh"
@@ -60,15 +61,15 @@ class Cache
           const Protocol* proto = nullptr);
 
     /// Look up a line; allocates (Shared on read, Dirty on write) on
-    /// miss. Defined inline below: the lookup and victim scan are fused
-    /// into one pass over the set, and the whole path inlines into
-    /// MemSys::access — together the hottest loop of the simulator.
-    CacheResult access(Addr addr, bool is_write);
+    /// miss. Inlined into MemSys::access, the simulator's hottest loop;
+    /// GCC's -O2 size estimate sits at its implicit-inlining limit.
+    [[gnu::always_inline]] CacheResult access(Addr addr, bool is_write);
 
     /// Probe without side effects.
     LineState probe(Addr addr) const;
 
-    /// Invalidate a line if present (due to a remote write).
+    /// Invalidate a line if present (due to a remote write). The way
+    /// becomes the set's last, so the next fill takes it.
     /// @return state the line was in.
     LineState invalidate(Addr addr);
 
@@ -78,7 +79,9 @@ class Cache
     /// Force a resident line into `st` (protocol-engine resolution of
     /// context-dependent next states, e.g. Dirty->Owned on an
     /// owner-forwarded read or Dragon's Sm/Sc transitions). The line
-    /// must be resident; no LRU update.
+    /// must be resident; no LRU update. Throws std::invalid_argument
+    /// for LineState::Invalid: use invalidate(), which keeps the set's
+    /// recency order.
     void setState(Addr addr, LineState st);
 
     /// Install a line in the given state, e.g. by a prefetch.
@@ -104,8 +107,8 @@ class Cache
                 const Way* set =
                     &ways_[(i * 64 + std::countr_zero(bits)) * assoc_];
                 for (int w = 0; w < assoc_; ++w)
-                    if (set[w].state != LineState::Invalid)
-                        fn(set[w].line << lineShift_, set[w].state);
+                    if (stateOf(set[w]) != LineState::Invalid)
+                        fn((set[w] >> 2) << lineShift_, stateOf(set[w]));
             }
         }
     }
@@ -119,20 +122,30 @@ class Cache
     /// and host-independent, unlike the pages the array occupies.
     std::uint64_t touchedSets() const;
 
+    /// One way: `(line << 2) | state`; an invalid way is all zero
+    /// bits. A set is kept in recency order, most recent first, invalid
+    /// ways last: a hit moves its way to the front, a fill replaces the
+    /// last way (an invalid one if any, else the LRU line) and moves it
+    /// to the front, and invalidate() moves a way to the back. The
+    /// array is allocated uninitialised: a set holds garbage until its
+    /// bit in setInit_ is set, so building a cache costs O(sets / 64),
+    /// not O(capacity) — a 4 MB L2 is 256 KB of ways, 64 MB per p256
+    /// machine, of which small runs reach a sliver. (Zeroed memory is
+    /// no substitute: once glibc's dynamic mmap threshold rises past
+    /// the array size, calloc memsets recycled heap in full.)
+    using Way = std::uint64_t;
+
   private:
-    /// Trivial, so the backing array is allocated uninitialised: a set
-    /// holds garbage until its bit in setInit_ is set, and is written
-    /// only when a fill first reaches it. Building a cache thus costs
-    /// O(sets / 64), not O(capacity) — a 4 MB L2 is 512 KB of Way state,
-    /// 128 MB per p256 machine, of which small runs reach a sliver.
-    /// (Zeroed memory is no substitute: once glibc's dynamic mmap
-    /// threshold rises past the array size, calloc memsets recycled
-    /// heap in full.)
-    struct Way {
-        std::uint64_t line;
-        LineState state;
-        std::uint32_t lastUse;
-    };
+    static LineState
+    stateOf(Way w)
+    {
+        return static_cast<LineState>(w & 3);
+    }
+    static Way
+    withState(Way w, LineState st)
+    {
+        return (w & ~Way{3}) | static_cast<Way>(st);
+    }
 
     std::uint64_t setIndex(std::uint64_t line) const
     {
@@ -145,30 +158,77 @@ class Cache
         return (setInit_[set >> 6] >> (set & 63)) & 1;
     }
 
-    /// A set whose bit is clear holds no line.
+    /// Index of the valid way holding `line` in `base`, or -1. A way
+    /// matches when it XORs with `line << 2` to a nonzero state alone.
+    int
+    wayOf(const Way* base, std::uint64_t line) const
+    {
+        const Way key = line << 2;
+        for (int w = 0; w < assoc_; ++w)
+            if ((base[w] ^ key) - 1 < 3)
+                return w;
+        return -1;
+    }
+
+    /// The valid way holding `line`, or nullptr. A set whose bit is
+    /// clear holds no line.
     Way*
-    find(std::uint64_t line)
+    find(std::uint64_t line) const
     {
         const std::uint64_t set = setIndex(line);
         if (!setInitialised(set))
             return nullptr;
         Way* base = &ways_[set * assoc_];
-        for (int w = 0; w < assoc_; ++w)
-            if (base[w].state != LineState::Invalid &&
-                base[w].line == line)
-                return &base[w];
-        return nullptr;
+        const int w = wayOf(base, line);
+        return w < 0 ? nullptr : base + w;
     }
-    const Way*
-    find(std::uint64_t line) const
+
+    /// Store `v` at the front of the set, shifting ways [0, w) back by
+    /// one; the old way `w` is overwritten. Carrying one way forward,
+    /// rather than copying backwards, keeps GCC from turning the
+    /// one- or two-way shift into a memmove call.
+    static void
+    toFront(Way* base, int w, Way v)
     {
-        return const_cast<Cache*>(this)->find(line);
+        for (int i = 0; i <= w; ++i)
+            std::swap(v, base[i]);
+    }
+
+    /// Shared body of access() and install(). A hit passes its way to
+    /// `on_hit`, which may set r.upgrade and returns the way's new
+    /// value; a miss evicts the last way (an invalid way reports victim
+    /// 0 in state Invalid) for `line` in state `fill`. A hit on the
+    /// front way that changes nothing writes nothing.
+    template <typename OnHit>
+    [[gnu::always_inline]] CacheResult
+    use(Addr addr, LineState fill, OnHit on_hit)
+    {
+        const std::uint64_t line = lineOf(addr);
+        const std::uint64_t set = setIndex(line);
+        if (!setInitialised(set))
+            initSet(set); // first touch
+        Way* base = &ways_[set * assoc_];
+        int w = wayOf(base, line);
+        CacheResult r;
+        Way v = 0;
+        if (w >= 0) {
+            r.hit = true;
+            v = on_hit(base[w], r);
+            if (w == 0 && v == base[0])
+                return r;
+        } else {
+            w = assoc_ - 1;
+            r.victim = (base[w] >> 2) << lineShift_;
+            r.victimState = stateOf(base[w]);
+            v = withState(line << 2, fill);
+        }
+        toFront(base, w, v);
+        return r;
     }
 
     int lineShift_;
-    std::uint64_t sets_;
+    std::uint64_t sets_ = 0;
     int assoc_;
-    std::uint32_t useClock_ = 0;
     std::unique_ptr<Way[]> ways_; ///< sets_*assoc_, set-major.
     std::vector<std::uint64_t> setInit_; ///< one bit per set
 
@@ -179,104 +239,34 @@ class Cache
     LineState writeHitNext_[4] = {LineState::Invalid, LineState::Dirty,
                                   LineState::Invalid, LineState::Invalid};
 
-    /// Mark `set` initialised with every way Invalid. Out of line so
-    /// that access() stays small enough to inline.
+    /// Mark `set` initialised with every way Invalid. Out of line: a
+    /// first touch is rare, and inlined it slowed sim-hot by ≈7%.
     void initSet(std::uint64_t set);
-
-    /// One pass over a set: returns the matching way via `hit`, or
-    /// leaves `hit` null and returns the fill victim (first invalid
-    /// way if any, else least-recently-used — identical choice to a
-    /// separate find-then-scan). A set reached for the first time is
-    /// initialised first, all ways Invalid.
-    Way*
-    scanSet(std::uint64_t line, Way*& hit)
-    {
-        const std::uint64_t set = setIndex(line);
-        if (!setInitialised(set))
-            initSet(set);
-        Way* base = &ways_[set * assoc_];
-        Way* victim = base;
-        for (int w = 0; w < assoc_; ++w) {
-            Way& cand = base[w];
-            if (cand.state == LineState::Invalid) {
-                if (victim->state != LineState::Invalid)
-                    victim = &cand;
-                continue;
-            }
-            if (cand.line == line) {
-                hit = &cand;
-                return victim;
-            }
-            if (victim->state != LineState::Invalid &&
-                cand.lastUse < victim->lastUse)
-                victim = &cand;
-        }
-        hit = nullptr;
-        return victim;
-    }
 };
 
 inline CacheResult
 Cache::access(Addr addr, bool is_write)
 {
-    const std::uint64_t line = lineOf(addr);
-    ++useClock_;
-    Way* hit = nullptr;
-    Way* victim = scanSet(line, hit);
-    if (hit) {
-        hit->lastUse = useClock_;
-        CacheResult r;
-        r.hit = true;
-        if (is_write && hit->state != LineState::Dirty) {
+    const LineState fill = is_write ? LineState::Dirty : LineState::Shared;
+    return use(addr, fill, [this, is_write](Way v, CacheResult& r) {
+        if (is_write && stateOf(v) != LineState::Dirty) {
             r.upgrade = true;
-            const LineState nx =
-                writeHitNext_[static_cast<int>(hit->state)];
+            const LineState nx = writeHitNext_[v & 3];
             if (nx != LineState::Invalid)
-                hit->state = nx;
+                v = withState(v, nx);
         }
-        return r;
-    }
-    // Miss: fill into the victim. The second tick keeps lastUse values
-    // identical to the historical access()->install() pair, so LRU
-    // decisions (and thus every simulated metric) are unchanged.
-    ++useClock_;
-    CacheResult r;
-    if (victim->state != LineState::Invalid) {
-        r.victim = victim->line << lineShift_;
-        r.victimState = victim->state;
-    }
-    victim->line = line;
-    victim->state = is_write ? LineState::Dirty : LineState::Shared;
-    victim->lastUse = useClock_;
-    return r;
+        return v;
+    });
 }
 
 inline CacheResult
 Cache::install(Addr addr, LineState st)
 {
     assert(st != LineState::Invalid);
-    const std::uint64_t line = lineOf(addr);
-    ++useClock_;
-    Way* hit = nullptr;
-    Way* victim = scanSet(line, hit);
-    if (hit) {
-        // Prefetch raced with demand fetch or repeated install.
-        hit->lastUse = useClock_;
-        if (st == LineState::Dirty)
-            hit->state = LineState::Dirty;
-        CacheResult r;
-        r.hit = true;
-        return r;
-    }
-    CacheResult r;
-    if (victim->state != LineState::Invalid) {
-        r.victim = victim->line << lineShift_;
-        r.victimState = victim->state;
-    }
-    victim->line = line;
-    victim->state = st;
-    victim->lastUse = useClock_;
-    return r;
+    // A hit is a prefetch racing a demand fetch, or a repeated install.
+    return use(addr, st, [st](Way v, CacheResult&) {
+        return st == LineState::Dirty ? withState(v, st) : v;
+    });
 }
 
 } // namespace ccnuma::sim

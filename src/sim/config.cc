@@ -11,19 +11,27 @@ MachineConfig::validate() const
     std::ostringstream err;
     if (numProcs < 1 || numProcs > kMaxProcs)
         err << "numProcs must be in [1," << kMaxProcs << "]; ";
+    // Range checks come before the divisions that need them nonzero.
     if (procsPerNode < 1)
         err << "procsPerNode must be >= 1; ";
-    if (!oneProcPerNode && numProcs > procsPerNode &&
-        numProcs % procsPerNode != 0)
+    else if (!oneProcPerNode && numProcs > procsPerNode &&
+             numProcs % procsPerNode != 0)
         err << "numProcs must be a multiple of procsPerNode; ";
-    if (!std::has_single_bit(static_cast<unsigned>(lineBytes)))
+    if (nodesPerRouter < 1)
+        err << "nodesPerRouter must be >= 1; ";
+    const bool line_ok = std::has_single_bit(lineBytes);
+    if (!line_ok)
         err << "lineBytes must be a power of two; ";
-    if (pageBytes % lineBytes != 0)
+    if (pageBytes == 0)
+        err << "pageBytes must be nonzero; ";
+    else if (line_ok && pageBytes % lineBytes != 0)
         err << "pageBytes must be a multiple of lineBytes; ";
-    if (cacheBytes % (static_cast<std::uint64_t>(lineBytes) * cacheAssoc)
-        != 0)
+    if (cacheAssoc < 1)
+        err << "cacheAssoc must be >= 1; ";
+    else if (line_ok && cacheBytes % (static_cast<std::uint64_t>(
+                                          lineBytes) * cacheAssoc) != 0)
         err << "cacheBytes must divide into lineBytes*assoc sets; ";
-    if (!std::has_single_bit(numSets()))
+    else if (line_ok && !std::has_single_bit(numSets()))
         err << "cache set count must be a power of two; ";
     if (quantum == 0)
         err << "quantum must be nonzero; ";
@@ -39,10 +47,8 @@ MachineConfig::validate() const
                "dirFormat=fullbv; ";
     if (trace.any() && trace.epochCycles == 0)
         err << "trace.epochCycles must be nonzero; ";
-    const int nodes = numProcs <= procsPerNode && !oneProcPerNode
-                          ? 1
-                          : numNodes();
-    if (nodes >= 1 && numProcs > procsPerNode && !oneProcPerNode &&
+    if (procsPerNode >= 1 && nodesPerRouter >= 1 &&
+        numProcs > procsPerNode && !oneProcPerNode &&
         numNodes() % nodesPerRouter != 0 && numNodes() > 1)
         err << "node count must be a multiple of nodesPerRouter; ";
     return err.str();

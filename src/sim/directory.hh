@@ -82,16 +82,17 @@ enum class DirState : std::uint8_t {
               ///< supplies the data (MOESI/Dragon only).
 };
 
-/** One directory entry. */
+/** One directory entry: 40 bytes, the sharer bitmap first so the
+ *  narrow fields pack behind it. */
 struct DirEntry {
-    DirState state = DirState::Uncached;
+    SharerSet sharers;
     ProcId owner = kNoProc;
+    DirState state = DirState::Uncached;
     /// Limited-pointer (Dir_iB) overflow: the sharer count exceeded
     /// the pointer budget, so invalidations broadcast to every
     /// processor. Reset when the entry is dropped or retaken
     /// exclusively. Always false under other directory formats.
     bool overflow = false;
-    SharerSet sharers;
 
     bool operator==(const DirEntry&) const = default;
 };

@@ -11,7 +11,10 @@
  *    the "bucket" index is a shift rather than a modulo by a prime;
  *  - backward-shift deletion: erase re-packs the probe window instead
  *    of leaving tombstones, so long-running churn (lines dropping to
- *    Uncached and returning) cannot degrade probe lengths.
+ *    Uncached and returning) cannot degrade probe lengths;
+ *  - an empty slot holds kEmptyKey (~0), never a line-aligned address,
+ *    so there is no occupancy array beside the slots; inserting
+ *    kEmptyKey is an assertion failure.
  *
  * The behavioural contract difference from std::unordered_map that
  * callers MUST respect: references returned by operator[]/find() are
@@ -24,6 +27,7 @@
 #define CCNUMA_SIM_FLAT_HASH_HH
 
 #include <bit>
+#include <cassert>
 #include <cstddef>
 #include <cstdint>
 #include <vector>
@@ -42,26 +46,24 @@ class FlatHashMap
             initial_capacity < 8 ? std::size_t{8} : initial_capacity));
     }
 
+    /// Marks an empty slot; never a line-aligned address.
+    static constexpr LineAddr kEmptyKey = ~LineAddr{0};
+
     /// Value for `key`, default-constructed if absent. The reference is
     /// valid only until the next insert or erase.
     V&
     operator[](LineAddr key)
     {
-        std::size_t i = indexOf(key);
-        while (used_[i]) {
-            if (slots_[i].key == key)
-                return slots_[i].value;
-            i = (i + 1) & mask_;
-        }
+        std::size_t i = slotOf(key);
+        if (slots_[i].key != kEmptyKey)
+            return slots_[i].value;
         // Not present: grow first if needed (load factor 0.7), then
         // claim the slot.
-        if ((size_ + 1) * 10 > capacity_ * 7) {
-            rehash(capacity_ * 2);
-            i = indexOf(key);
-            while (used_[i])
-                i = (i + 1) & mask_;
+        assert(key != kEmptyKey);
+        if ((size_ + 1) * 10 > slots_.size() * 7) {
+            rehash(slots_.size() * 2);
+            i = slotOf(key);
         }
-        used_[i] = 1;
         slots_[i].key = key;
         slots_[i].value = V{};
         ++size_;
@@ -72,13 +74,8 @@ class FlatHashMap
     V*
     find(LineAddr key)
     {
-        std::size_t i = indexOf(key);
-        while (used_[i]) {
-            if (slots_[i].key == key)
-                return &slots_[i].value;
-            i = (i + 1) & mask_;
-        }
-        return nullptr;
+        Slot& s = slots_[slotOf(key)];
+        return s.key != kEmptyKey ? &s.value : nullptr;
     }
     const V*
     find(LineAddr key) const
@@ -90,15 +87,11 @@ class FlatHashMap
     bool
     erase(LineAddr key)
     {
-        std::size_t i = indexOf(key);
-        while (used_[i]) {
-            if (slots_[i].key == key) {
-                removeAt(i);
-                return true;
-            }
-            i = (i + 1) & mask_;
-        }
-        return false;
+        const std::size_t i = slotOf(key);
+        if (slots_[i].key == kEmptyKey)
+            return false;
+        removeAt(i);
+        return true;
     }
 
     std::size_t size() const { return size_; }
@@ -109,21 +102,21 @@ class FlatHashMap
     void
     forEach(Fn&& fn) const
     {
-        for (std::size_t i = 0; i < capacity_; ++i)
-            if (used_[i])
-                fn(slots_[i].key, slots_[i].value);
+        for (const Slot& s : slots_)
+            if (s.key != kEmptyKey)
+                fn(s.key, s.value);
     }
 
     void
     reserve(std::size_t n)
     {
-        if (n * 10 > capacity_ * 7)
+        if (n * 10 > slots_.size() * 7)
             rehash(std::bit_ceil(n * 10 / 7 + 1));
     }
 
   private:
     struct Slot {
-        LineAddr key = 0;
+        LineAddr key = kEmptyKey;
         V value{};
     };
 
@@ -147,7 +140,7 @@ class FlatHashMap
         std::size_t j = i;
         for (;;) {
             j = (j + 1) & mask_;
-            if (!used_[j])
+            if (slots_[j].key == kEmptyKey)
                 break;
             const std::size_t k = indexOf(slots_[j].key);
             const bool unmovable =
@@ -157,35 +150,34 @@ class FlatHashMap
             slots_[i] = slots_[j];
             i = j;
         }
-        used_[i] = 0;
         slots_[i] = Slot{};
         --size_;
+    }
+
+    /// The slot holding `key`, else the empty slot ending its probe
+    /// run (so a lookup of kEmptyKey finds nothing).
+    std::size_t
+    slotOf(LineAddr key) const
+    {
+        std::size_t i = indexOf(key);
+        while (slots_[i].key != key && slots_[i].key != kEmptyKey)
+            i = (i + 1) & mask_;
+        return i;
     }
 
     void
     rehash(std::size_t new_capacity)
     {
         std::vector<Slot> old_slots = std::move(slots_);
-        std::vector<std::uint8_t> old_used = std::move(used_);
-        capacity_ = new_capacity;
         mask_ = new_capacity - 1;
         shift_ = 64 - std::countr_zero(new_capacity);
-        slots_.assign(capacity_, Slot{});
-        used_.assign(capacity_, 0);
-        for (std::size_t s = 0; s < old_slots.size(); ++s) {
-            if (!old_used[s])
-                continue;
-            std::size_t i = indexOf(old_slots[s].key);
-            while (used_[i])
-                i = (i + 1) & mask_;
-            used_[i] = 1;
-            slots_[i] = old_slots[s];
-        }
+        slots_.assign(new_capacity, Slot{});
+        for (const Slot& s : old_slots)
+            if (s.key != kEmptyKey)
+                slots_[slotOf(s.key)] = s;
     }
 
     std::vector<Slot> slots_;
-    std::vector<std::uint8_t> used_;
-    std::size_t capacity_ = 0;
     std::size_t mask_ = 0;
     unsigned shift_ = 64;
     std::size_t size_ = 0;

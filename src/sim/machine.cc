@@ -10,12 +10,18 @@
 
 namespace ccnuma::sim {
 
-Machine::Machine(const MachineConfig& cfg)
-    : cfg_(cfg.resolved()), topo_(cfg_), mem_(cfg_, topo_)
+/// `cfg`, checked before the topology and caches are built from it.
+static MachineConfig
+validated(MachineConfig cfg)
 {
-    const std::string err = cfg_.validate();
-    if (!err.empty())
+    if (const std::string err = cfg.validate(); !err.empty())
         throw std::invalid_argument("bad MachineConfig: " + err);
+    return cfg;
+}
+
+Machine::Machine(const MachineConfig& cfg)
+    : cfg_(validated(cfg.resolved())), topo_(cfg_), mem_(cfg_, topo_)
+{
     sched_.setQuantum(cfg_.quantum);
 }
 

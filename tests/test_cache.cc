@@ -18,6 +18,10 @@
 
 using namespace ccnuma::sim;
 
+// One 8-byte word per way, (line << 2) | state: a 4 MB, 2-way L2 is
+// 256 KB of way state.
+static_assert(sizeof(Cache::Way) == 8);
+
 namespace {
 constexpr std::uint32_t kLine = 128;
 } // namespace
@@ -136,6 +140,49 @@ TEST(Cache, RejectsBadGeometry)
 {
     EXPECT_THROW(Cache(100, 2, 128), std::invalid_argument);
     EXPECT_THROW(Cache(8 << 10, 2, 100), std::invalid_argument);
+    // Zero divisors are rejected before the set count is computed.
+    EXPECT_THROW(Cache(8 << 10, 0, 128), std::invalid_argument);
+    EXPECT_THROW(Cache(8 << 10, -1, 128), std::invalid_argument);
+    EXPECT_THROW(Cache(8 << 10, 2, 0), std::invalid_argument);
+}
+
+TEST(Cache, InvalidatedMiddleWayIsTheNextFill)
+{
+    // One 4-way set. After a is touched again the recency order is
+    // a d c b; invalidating c, in the middle, frees a way, so the next
+    // fill evicts nothing and the one after evicts b, the true LRU.
+    Cache cache(4 * kLine, 4, kLine);
+    const Addr a = 0, b = kLine, c = 2 * kLine, d = 3 * kLine;
+    const Addr e = 4 * kLine, f = 5 * kLine;
+    for (const Addr x : {a, b, c, d})
+        EXPECT_FALSE(cache.access(x, false).hit);
+    EXPECT_TRUE(cache.access(a, false).hit);
+    EXPECT_EQ(cache.invalidate(c), LineState::Shared);
+    EXPECT_EQ(cache.residentLines(), 3u);
+
+    const CacheResult fill_e = cache.access(e, true);
+    EXPECT_FALSE(fill_e.hit);
+    EXPECT_EQ(fill_e.victimState, LineState::Invalid)
+        << "evicted a line although a way was free";
+    const CacheResult fill_f = cache.access(f, false);
+    EXPECT_EQ(fill_f.victim, b);
+    EXPECT_EQ(fill_f.victimState, LineState::Shared);
+    for (const Addr x : {a, d, e, f})
+        EXPECT_NE(cache.probe(x), LineState::Invalid);
+}
+
+TEST(Cache, SetStateInvalidIsRejected)
+{
+    // Forcing a way Invalid in place would leave a hole in front of
+    // valid ways, and the next fill would evict a line instead of
+    // taking it; invalidate() is the only way to drop a line.
+    Cache c(8 << 10, 2, kLine);
+    c.access(0x2000, true);
+    EXPECT_THROW(c.setState(0x2000, LineState::Invalid),
+                 std::invalid_argument);
+    EXPECT_EQ(c.probe(0x2000), LineState::Dirty);
+    c.setState(0x2000, LineState::Owned);
+    EXPECT_EQ(c.probe(0x2000), LineState::Owned);
 }
 
 TEST(Cache, ResidentCountTracksEvictions)
@@ -386,6 +433,11 @@ TEST(CacheDifferential, MatchesReferenceLruAcrossGeometries)
         {4 << 20, 1},     // Origin L2 size, direct-mapped
         {4 << 20, 2},     // the Origin L2
         {4 << 20, 4},
+        {32 * kLine, 8},  // tiny, 8-way: longer move-to-front shifts
+        {64 * kLine, 16}, // tiny, 16-way
+        {16 * kLine, 16}, // a single 16-way set
+        {4 << 20, 8},
+        {4 << 20, 16},
     };
     for (const Geometry& g : geometries) {
         for (std::uint64_t seed = 1; seed <= 4; ++seed) {
@@ -403,12 +455,12 @@ TEST(CacheDifferential, RecycledGarbageBacksAFreshCache)
 {
     // The way array is left uninitialised, so a cache built on a heap
     // chunk some earlier owner filled must still start empty. Free a
-    // block of the Origin L2's array size (16 B of way state per line)
-    // filled with 0xFF just before building the cache, so the allocator
-    // is likely to hand the same chunk back. Freeing a first block of
+    // block of the Origin L2's array size (one Way per line) filled
+    // with 0xFF just before building the cache, so the allocator is
+    // likely to hand the same chunk back. Freeing a first block of
     // that size makes the second come from the heap rather than mmap.
     const std::uint64_t bytes = 4 << 20;
-    const std::size_t array_bytes = bytes / kLine * 16;
+    const std::size_t array_bytes = bytes / kLine * sizeof(Cache::Way);
     ::operator delete(::operator new(array_bytes));
     void* garbage = ::operator new(array_bytes);
     volatile unsigned char* p = static_cast<unsigned char*>(garbage);

@@ -7,7 +7,8 @@
  *  - the container itself, exercised with randomized insert/find/erase
  *    mixes against a std::unordered_map oracle (backward-shift deletion
  *    is the subtle part, so the mixes are erase-heavy and collision-
- *    heavy);
+ *    heavy), including the extreme line addresses next to the
+ *    empty-slot sentinel key;
  *  - the whole protocol, by running randomized stress traces on a
  *    hostile tiny-cache machine with the shadow-directory seam enabled
  *    (every DirEntry is mirrored into a reference unordered_map and
@@ -30,19 +31,32 @@
 
 namespace {
 
+using ccnuma::sim::DirEntry;
 using ccnuma::sim::FlatHashMap;
+
+// Sharer bitmap, owner, state and overflow flag pack into 40 bytes, so
+// a directory slot with its key is 48.
+static_assert(sizeof(DirEntry) == 40);
+
+/// The highest line-aligned address with 128 B lines; only non-aligned
+/// keys, such as the empty-slot sentinel ~0, lie above it.
+constexpr std::uint64_t kTopLine = ~0ull << 7;
 
 // Randomized op mix against a std::unordered_map oracle. Keys are line
 // addresses: page-strided multiples of the line size, the same
-// low-entropy pattern the directory sees.
+// low-entropy pattern the directory sees. With `edge_keys`, one op in
+// four uses line 0 or kTopLine instead.
 void
-differentialRun(std::uint64_t seed, std::uint64_t key_space, int ops)
+differentialRun(std::uint64_t seed, std::uint64_t key_space, int ops,
+                bool edge_keys = false)
 {
     std::mt19937_64 rng(seed);
     FlatHashMap<std::uint64_t> flat;
     std::unordered_map<std::uint64_t, std::uint64_t> ref;
 
-    auto randKey = [&] {
+    auto randKey = [&]() -> std::uint64_t {
+        if (edge_keys && rng() % 4 == 0)
+            return rng() % 2 ? 0 : kTopLine;
         return (rng() % key_space) * 128; // line-aligned addresses
     };
 
@@ -64,8 +78,9 @@ differentialRun(std::uint64_t seed, std::uint64_t key_space, int ops)
             const std::uint64_t* fv = flat.find(key);
             auto it = ref.find(key);
             ASSERT_EQ(fv != nullptr, it != ref.end());
-            if (fv)
+            if (fv) {
                 EXPECT_EQ(*fv, it->second);
+            }
             break;
           }
         }
@@ -101,6 +116,41 @@ TEST(FlatHashMap, MatchesUnorderedMapSparseKeys)
     // Wide key space: growth/rehash dominates.
     for (std::uint64_t seed = 1; seed <= 5; ++seed)
         differentialRun(seed, 1 << 16, 8000);
+}
+
+TEST(FlatHashMap, ExtremeLineAddressesAreOrdinaryKeys)
+{
+    // Line 0 (~0 + 1) and the top line-aligned address are the keys
+    // nearest the empty-slot sentinel ~0; both must insert, find and
+    // erase like any other key, through growth and backward shifts.
+    for (std::uint64_t seed = 1; seed <= 5; ++seed) {
+        differentialRun(seed, 32, 4000, /*edge_keys=*/true);
+        differentialRun(seed, 1 << 12, 8000, /*edge_keys=*/true);
+    }
+    FlatHashMap<int> flat;
+    flat[0] = 1;
+    flat[kTopLine] = 2;
+    ASSERT_NE(flat.find(0), nullptr);
+    ASSERT_NE(flat.find(kTopLine), nullptr);
+    EXPECT_EQ(*flat.find(0), 1);
+    EXPECT_EQ(*flat.find(kTopLine), 2);
+    EXPECT_EQ(flat.size(), 2u);
+}
+
+TEST(FlatHashMap, SentinelKeyIsNeverStored)
+{
+    FlatHashMap<int> flat;
+    flat[128] = 1;
+    constexpr std::uint64_t sentinel = FlatHashMap<int>::kEmptyKey;
+    // Lookups of the sentinel find nothing and change nothing.
+    EXPECT_EQ(flat.find(sentinel), nullptr);
+    EXPECT_FALSE(flat.erase(sentinel));
+    EXPECT_EQ(flat.size(), 1u);
+#ifdef NDEBUG
+    GTEST_SKIP() << "inserting the sentinel is an assert()";
+#else
+    EXPECT_DEATH(flat[sentinel] = 2, "kEmptyKey");
+#endif
 }
 
 TEST(FlatHashMap, EraseDuringCollisionRuns)

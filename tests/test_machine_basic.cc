@@ -7,6 +7,10 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <string>
+#include <utility>
+
 #include "sim/machine.hh"
 
 using namespace ccnuma::sim;
@@ -238,4 +242,28 @@ TEST(MachineBasic, CacheSetsInitialiseOnFirstTouch)
             << "proc " << p;
     EXPECT_EQ(m.mem().cache(0).touchedSets(),
               static_cast<std::uint64_t>(kLines));
+}
+
+TEST(MachineConfigValidate, ZeroDivisorsAreTypedErrors)
+{
+    // Each field is a divisor somewhere in validate() or in building
+    // the machine; zero must be reported, not raise SIGFPE.
+    const std::pair<std::string, std::function<void(MachineConfig&)>>
+        cases[] = {
+            {"cacheAssoc", [](MachineConfig& c) { c.cacheAssoc = 0; }},
+            {"cacheAssoc", [](MachineConfig& c) { c.cacheAssoc = -2; }},
+            {"lineBytes", [](MachineConfig& c) { c.lineBytes = 0; }},
+            {"pageBytes", [](MachineConfig& c) { c.pageBytes = 0; }},
+            {"procsPerNode", [](MachineConfig& c) { c.procsPerNode = 0; }},
+            {"nodesPerRouter",
+             [](MachineConfig& c) { c.nodesPerRouter = 0; }},
+        };
+    for (const auto& [field, break_it] : cases) {
+        MachineConfig cfg = MachineConfig::origin2000(8);
+        break_it(cfg);
+        const std::string err = cfg.validate();
+        EXPECT_NE(err.find(field), std::string::npos)
+            << field << ": " << err;
+        EXPECT_THROW(Machine{cfg}, std::invalid_argument) << field;
+    }
 }
