@@ -280,6 +280,7 @@ parseTrace(const std::string& text)
     t.ops.resize(procs);
 
     // Setup events until the first 'ops' block.
+    std::uint64_t heapBytes = 0;
     for (toks = cur.nextLine();; toks = cur.nextLine()) {
         if (toks.empty())
             return fail(cur.line, "unexpected end of input (missing 'end')");
@@ -289,6 +290,12 @@ parseTrace(const std::string& text)
         if (toks[0] == "alloc" && toks.size() == 2 &&
             parseU64Tok(toks[1], s.a)) {
             s.kind = Trace::Setup::Kind::Alloc;
+            if (s.a > kMaxTraceHeapBytes - heapBytes)
+                return fail(cur.line, "allocations exceed the " +
+                                          std::to_string(
+                                              kMaxTraceHeapBytes) +
+                                          "-byte trace heap cap");
+            heapBytes += s.a;
         } else if (toks[0] == "barrier" && toks.size() == 2 &&
                    parseU64Tok(toks[1], s.a)) {
             s.kind = Trace::Setup::Kind::Barrier;
@@ -409,6 +416,45 @@ TraceReplayApp::name() const
     return name_;
 }
 
+namespace {
+
+/// Whether [addr, addr + bytes) lies in the heap [kHeapBase, end).
+bool
+inHeap(std::uint64_t addr, std::uint64_t bytes, sim::Addr end)
+{
+    return addr >= sim::Machine::kHeapBase && addr < end &&
+           bytes <= end - addr;
+}
+
+[[noreturn]] void
+outsideHeap(const std::string& what, sim::Addr end)
+{
+    throw std::invalid_argument(
+        "trace " + what + " outside the heap [" +
+        std::to_string(sim::Machine::kHeapBase) + ", " +
+        std::to_string(end) + ")");
+}
+
+/// Check a place/placeacross range against the heap allocated so far.
+void
+requirePlaceInHeap(const char* what, const Trace::Setup& s, sim::Addr end)
+{
+    if (!inHeap(s.a, s.b, end))
+        outsideHeap(std::string(what) + " of " + std::to_string(s.b) +
+                        " bytes at " + std::to_string(s.a),
+                    end);
+}
+
+bool
+opIsAddress(sim::OpKind k)
+{
+    return k == sim::OpKind::Read || k == sim::OpKind::Write ||
+           k == sim::OpKind::Prefetch || k == sim::OpKind::FetchOp ||
+           k == sim::OpKind::Rmw;
+}
+
+} // namespace
+
 void
 TraceReplayApp::setup(sim::Machine& m)
 {
@@ -417,6 +463,8 @@ TraceReplayApp::setup(sim::Machine& m)
             "trace recorded for " + std::to_string(t_.procs) +
             " processors, machine has " +
             std::to_string(m.config().numProcs));
+    // Placements come after the allocations they cover in any recorded
+    // trace, so each is checked against the heap allocated so far.
     for (const Trace::Setup& s : t_.setup) {
         switch (s.kind) {
         case Trace::Setup::Kind::Alloc:
@@ -430,6 +478,7 @@ TraceReplayApp::setup(sim::Machine& m)
             locks_.push_back(m.lockCreate());
             break;
         case Trace::Setup::Kind::Place:
+            requirePlaceInHeap("place", s, m.heapEnd());
             // Narrow only values that fit; Machine::place rejects
             // every node outside the machine.
             m.place(s.a, s.b,
@@ -437,10 +486,17 @@ TraceReplayApp::setup(sim::Machine& m)
                         s.c, std::numeric_limits<sim::NodeId>::max())));
             break;
         case Trace::Setup::Kind::PlaceAcross:
+            requirePlaceInHeap("placeacross", s, m.heapEnd());
             m.placeAcrossProcs(s.a, s.b);
             break;
         }
     }
+    for (const auto& stream : t_.ops)
+        for (const TraceOp& op : stream)
+            if (opIsAddress(op.kind) && !inHeap(op.arg, 1, m.heapEnd()))
+                outsideHeap(std::string("op '") + opMnemonic(op.kind) +
+                                "' address " + std::to_string(op.arg),
+                            m.heapEnd());
 }
 
 sim::Machine::Program

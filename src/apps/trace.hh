@@ -37,10 +37,11 @@
  * Parsing is strict in the ccnuma::check::json spirit: unknown
  * directives, malformed numbers, wrong op counts, duplicate or
  * out-of-order `ops` blocks and a missing `end` are all errors with a
- * line number. Semantic validity of op arguments (barrier/lock
- * indices against the setup section) is deliberately checked at
- * replay time by the engine, not at parse time — the parse answers
- * "is this a trace", the simulation answers "does it run".
+ * line number, and so is a total `alloc` above kMaxTraceHeapBytes.
+ * Semantic validity of op arguments is checked at replay time, not at
+ * parse time — the parse answers "is this a trace", the replay answers
+ * "does it run": TraceReplayApp::setup() rejects addresses outside the
+ * replayed heap, and the engine rejects dangling barrier/lock indices.
  */
 
 #ifndef CCNUMA_APPS_TRACE_HH
@@ -97,6 +98,11 @@ struct Trace {
     std::string hashHex() const;
 };
 
+/// Cap on a trace's summed `alloc` bytes. It bounds the heap, and with
+/// it the host memory a replay's page table and directory can grow
+/// to; the largest built-in workloads allocate tens of MB.
+inline constexpr std::uint64_t kMaxTraceHeapBytes = 1ull << 30;
+
 /** Outcome of parsing trace text: ok + trace, or an error. */
 struct TraceParseResult {
     bool ok = false;
@@ -127,6 +133,10 @@ RecordedTrace recordTrace(const sim::MachineConfig& cfg, App& app);
 /**
  * Replays a Trace as an App: setup() re-issues the machine-building
  * calls, program() re-issues each processor's operation stream.
+ * setup() throws std::invalid_argument for a place range outside the
+ * heap allocated before it, and for a load, store, prefetch, fetch&op
+ * or rmw address outside the whole replayed heap,
+ * [Machine::kHeapBase, heap end).
  *
  * Replayed on a machine with the recording's config, the run is
  * bit-identical to the recorded one. Replayed on a different machine

@@ -91,10 +91,12 @@ Cache::setState(Addr addr, LineState st)
 }
 
 void
-Cache::initSet(std::uint64_t set)
+Cache::fillFresh(std::uint64_t set, Way way)
 {
     setInit_[set >> 6] |= std::uint64_t{1} << (set & 63);
-    std::fill_n(&ways_[set * assoc_], assoc_, Way{0});
+    Way* base = &ways_[set * assoc_];
+    base[0] = way;
+    std::fill(base + 1, base + assoc_, Way{0});
 }
 
 std::uint64_t

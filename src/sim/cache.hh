@@ -198,15 +198,19 @@ class Cache
     /// `on_hit`, which may set r.upgrade and returns the way's new
     /// value; a miss evicts the last way (an invalid way reports victim
     /// 0 in state Invalid) for `line` in state `fill`. A hit on the
-    /// front way that changes nothing writes nothing.
+    /// front way that changes nothing writes nothing. A set not yet
+    /// initialised holds nothing: the access is a miss with no victim,
+    /// filled without reading the set.
     template <typename OnHit>
     [[gnu::always_inline]] CacheResult
     use(Addr addr, LineState fill, OnHit on_hit)
     {
         const std::uint64_t line = lineOf(addr);
         const std::uint64_t set = setIndex(line);
-        if (!setInitialised(set))
-            initSet(set); // first touch
+        if (!setInitialised(set)) [[unlikely]] {
+            fillFresh(set, withState(line << 2, fill));
+            return {};
+        }
         Way* base = &ways_[set * assoc_];
         int w = wayOf(base, line);
         CacheResult r;
@@ -239,9 +243,11 @@ class Cache
     LineState writeHitNext_[4] = {LineState::Invalid, LineState::Dirty,
                                   LineState::Invalid, LineState::Invalid};
 
-    /// Mark `set` initialised with every way Invalid. Out of line: a
-    /// first touch is rare, and inlined it slowed sim-hot by ≈7%.
-    void initSet(std::uint64_t set);
+    /// Mark `set` initialised holding `way` in front and every other
+    /// way Invalid, without loading the set's garbage. Out of line: a
+    /// first touch is rare, and inlined set initialisation slowed
+    /// sim-hot by ≈7%.
+    void fillFresh(std::uint64_t set, Way way);
 };
 
 inline CacheResult

@@ -116,7 +116,7 @@ struct CheckConfig {
     CheckMutation mutation = CheckMutation::None;
     /// Mirror every directory operation into a reference
     /// std::unordered_map and fail validateCoherence() on divergence —
-    /// the differential-test seam for the flat sharded directory.
+    /// the differential-test seam for the page-block directory.
     /// Costs one map operation per directory operation when on.
     bool shadowDirectory = false;
     /// Run MemSys::access through the preserved hard-coded MESI body

@@ -1,6 +1,9 @@
 #include "sim/directory.hh"
 
+#include <algorithm>
 #include <bit>
+#include <cassert>
+#include <memory>
 #include <sstream>
 
 namespace ccnuma::sim {
@@ -14,26 +17,75 @@ SharerSet::count() const
     return n;
 }
 
-Directory::Directory(int numNodes, std::uint32_t pageBytes)
+Directory::Directory(std::uint32_t pageBytes, std::uint32_t lineBytes)
+    : pageShift_(static_cast<std::uint32_t>(std::countr_zero(pageBytes))),
+      lineShift_(static_cast<std::uint32_t>(std::countr_zero(lineBytes))),
+      linesPerPage_(pageBytes / lineBytes),
+      lineMask_(linesPerPage_ - 1),
+      heldWords_((linesPerPage_ + 63) / 64)
 {
-    const std::uint32_t shards = std::bit_ceil(
-        static_cast<std::uint32_t>(numNodes < 1 ? 1 : numNodes));
-    shardMask_ = shards - 1;
-    pageShift_ = static_cast<std::uint32_t>(
-        std::bit_width(pageBytes < 2 ? 2u : pageBytes) - 1);
-    shards_.reserve(shards);
-    for (std::uint32_t s = 0; s < shards; ++s)
-        shards_.emplace_back(/*initial_capacity=*/64);
+    assert(std::has_single_bit(pageBytes) &&
+           std::has_single_bit(lineBytes) && lineBytes <= pageBytes);
+}
+
+Directory::~Directory()
+{
+    for (DirEntry* b : pages_)
+        ::operator delete(b);
+}
+
+std::size_t
+Directory::size() const
+{
+    std::size_t n = 0;
+    for (const DirEntry* b : pages_)
+        if (b)
+            for (std::uint32_t w = 0; w < heldWords_; ++w)
+                n += std::popcount(heldOf(b)[w]);
+    return n;
+}
+
+DirEntry*
+Directory::newBlock(std::uint64_t pn)
+{
+    if (pn >= pages_.size())
+        pages_.resize(pn + 1);
+    static_assert(sizeof(DirEntry) % alignof(std::uint64_t) == 0);
+    auto* b = static_cast<DirEntry*>(::operator new(
+        linesPerPage_ * sizeof(DirEntry) +
+        heldWords_ * sizeof(std::uint64_t)));
+    std::uninitialized_default_construct_n(b, linesPerPage_);
+    ::new (static_cast<void*>(b + linesPerPage_))
+        std::uint64_t[heldWords_]();
+    ++blocks_;
+    return pages_[pn] = b;
+}
+
+void
+Directory::freeIfEmpty(std::uint64_t pn)
+{
+    DirEntry* b = pages_[pn];
+    const std::uint64_t* held = heldOf(b);
+    for (std::uint32_t w = 0; w < heldWords_; ++w)
+        if (held[w])
+            return;
+    // An entry that is not held is always a fresh one (drop() resets
+    // it), so nothing live is lost with the block.
+    assert(std::all_of(b, b + linesPerPage_,
+                       [](const DirEntry& e) { return e == DirEntry{}; }));
+    ::operator delete(b);
+    pages_[pn] = nullptr;
+    --blocks_;
 }
 
 DirEntry&
 Directory::shadowLookup(LineAddr line)
 {
     flushShadow();
-    DirEntry& e = shards_[shardOf(line)][line];
+    DirEntry& e = hold(line);
     // The caller will mutate `e` after we return; mirror it into the
     // reference map at the *next* Directory call, when the mutations
-    // are complete and `e` has not yet been moved by a rehash/erase.
+    // are complete and `e`'s block has not yet been freed.
     pendingLine_ = line;
     pendingEntry_ = &e;
     return e;
@@ -53,9 +105,9 @@ Directory::shadowDiff() const
 {
     flushShadow();
     std::ostringstream err;
-    const std::size_t flat = size();
-    if (flat != shadow_.size()) {
-        err << "directory shadow divergence: flat has " << flat
+    const std::size_t held = size();
+    if (held != shadow_.size()) {
+        err << "directory shadow divergence: blocks hold " << held
             << " entries, reference has " << shadow_.size();
         return err.str();
     }
@@ -67,13 +119,13 @@ Directory::shadowDiff() const
         if (it == shadow_.end()) {
             std::ostringstream os;
             os << "directory shadow divergence: line 0x" << std::hex
-               << line << " present only in flat storage";
+               << line << " present only in the blocks";
             diff = os.str();
         } else if (!(it->second == e)) {
             std::ostringstream os;
             os << "directory shadow divergence: line 0x" << std::hex
                << line << std::dec << " state/owner/sharers mismatch"
-               << " (flat state=" << static_cast<int>(e.state)
+               << " (block state=" << static_cast<int>(e.state)
                << " owner=" << e.owner
                << " sharers=" << e.sharers.count()
                << ", reference state="

@@ -3,18 +3,16 @@
  * Full-bit-vector coherence directory (one logical entry per cache line,
  * materialized on demand), as kept at each Origin2000 home Hub.
  *
- * Storage is sharded per home node, one open-addressing flat hash per
- * shard (see flat_hash.hh). A line's shard is its *static* page-
- * interleaved home — a pure function of the address — so the mapping
- * stays stable even when dynamic page migration moves a page's actual
- * home node mid-run. Sharding keeps each table small and its probe
- * windows dense, which is where the flat layout's cache behaviour wins
- * over one big node-based map.
+ * Storage is indexed by address, not searched: one block of entries
+ * per simulated page, found through a vector indexed by page number.
+ * A block is allocated when its page's first line is looked up and
+ * freed when its last held line is dropped, so host memory follows
+ * the pages that hold a cached line, not the footprint.
  *
- * Reference stability: lookup() returns a reference into a flat table,
- * which is invalidated by any later insert (rehash) or drop (backward
- * shift). Callers must not hold an entry reference across other
- * Directory calls that may mutate the same shard.
+ * Reference stability: lookup() returns a reference into a block,
+ * which stays valid until a drop() frees that block. Callers must not
+ * hold an entry reference across a drop() of another line in the same
+ * page.
  */
 
 #ifndef CCNUMA_SIM_DIRECTORY_HH
@@ -23,11 +21,11 @@
 #include <array>
 #include <bit>
 #include <cstdint>
+#include <new>
 #include <string>
 #include <unordered_map>
 #include <vector>
 
-#include "sim/flat_hash.hh"
 #include "sim/protocol.hh"
 #include "sim/types.hh"
 
@@ -144,48 +142,55 @@ forEachFanoutTarget(const DirectoryConfig& fmt, const DirEntry& e,
 }
 
 /**
- * The machine-wide directory. Entries live in per-home-shard flat hash
- * tables keyed by line address; lines never cached have no entry
- * (implicitly Uncached).
+ * The machine-wide directory, indexed by address like the Origin's
+ * per-line entries at each home: a vector with one slot per simulated
+ * page points to a block of pageBytes / lineBytes entries, allocated on
+ * the first lookup() in the page and freed when drop() returns the
+ * block's last held entry. A line's entry is *held* from its lookup()
+ * until its drop(); a line that is not held has no entry (implicitly
+ * Uncached), exactly the set a map keyed by line address would hold.
  *
  * Test seam: enableShadow(true) mirrors every operation into a
- * reference std::unordered_map (the pre-optimization representation);
- * shadowDiff() reports the first divergence. Because callers mutate
- * the reference lookup() hands out, the mirror copy is deferred to the
- * next Directory call (at which point the caller-side mutations are
- * complete and the slot has not yet moved).
+ * reference std::unordered_map; shadowDiff() reports the first
+ * divergence. Because callers mutate the reference lookup() hands out,
+ * the mirror copy is deferred to the next Directory call (at which
+ * point the caller-side mutations are complete and the block is still
+ * allocated).
  */
 class Directory
 {
   public:
-    /// @param numNodes home nodes to shard across (rounded up to a
-    ///        power of two internally)
-    /// @param pageBytes machine page size (shard key granularity — one
-    ///        page's lines share a shard, mirroring page homing)
-    explicit Directory(int numNodes = 1,
-                       std::uint32_t pageBytes = 16u << 10);
+    /// @param pageBytes machine page size (a power of two): one block
+    ///        per page
+    /// @param lineBytes line size (a power of two dividing pageBytes)
+    Directory(std::uint32_t pageBytes, std::uint32_t lineBytes);
+    ~Directory();
+    Directory(const Directory&) = delete;
+    Directory& operator=(const Directory&) = delete;
 
-    /// Entry for a line, creating it Uncached if absent. The reference
-    /// is invalidated by any later lookup() of an absent line or
-    /// drop() in the same shard.
+    /// Entry for a line, holding it (Uncached if it was not held). The
+    /// reference is invalidated by a drop() that frees its block.
     DirEntry&
     lookup(LineAddr line)
     {
-        if (!shadowOn_) [[likely]]
-            return shards_[shardOf(line)][line];
-        return shadowLookup(line);
+        if (shadowOn_) [[unlikely]]
+            return shadowLookup(line);
+        return hold(line);
     }
 
-    /// Entry if present, else nullptr (no allocation).
+    /// Entry if held, else nullptr (no allocation).
     const DirEntry*
     probe(LineAddr line) const
     {
         if (shadowOn_)
             flushShadow();
-        return shards_[shardOf(line)].find(line);
+        const DirEntry* b = blockOf(line);
+        const std::uint32_t i = indexOf(line);
+        return b && isHeld(b, i) ? &b[i] : nullptr;
     }
 
-    /// Drop an entry once a line returns to Uncached, bounding growth.
+    /// Release a line once it returns to Uncached: its entry resets to
+    /// a fresh one, and a block left with no held entry is freed.
     void
     drop(LineAddr line)
     {
@@ -193,43 +198,46 @@ class Directory
             flushShadow();
             shadow_.erase(line);
         }
-        shards_[shardOf(line)].erase(line);
-    }
-
-    std::size_t
-    size() const
-    {
-        std::size_t n = 0;
-        for (const auto& s : shards_)
-            n += s.size();
-        return n;
-    }
-
-    /// Presize every shard for ~`totalLines` live entries spread
-    /// across them (ROADMAP: ~6% of directory time was FlatHashMap
-    /// rehash churn). Growth-only and allocation-only: reservation
-    /// never changes entry contents, so simulated metrics are
-    /// untouched. Safe to call repeatedly as the footprint grows.
-    void
-    reserveLines(std::uint64_t totalLines)
-    {
-        if (shards_.empty())
+        DirEntry* b = blockOf(line);
+        if (!b)
             return;
-        const std::uint64_t per =
-            totalLines / shards_.size() + 1;
-        for (auto& s : shards_)
-            s.reserve(static_cast<std::size_t>(per));
+        const std::uint32_t i = indexOf(line);
+        b[i] = DirEntry{};
+        std::uint64_t& word = heldOf(b)[i >> 6];
+        word &= ~(std::uint64_t{1} << (i & 63));
+        if (word == 0)
+            freeIfEmpty(line >> pageShift_);
     }
 
-    /// Call fn(lineAddr, entry) for every entry (validation/tests).
+    /// Number of held entries (validation/tests).
+    std::size_t size() const;
+
+    /// Number of blocks allocated: the pages with a held entry. Exact
+    /// and host-independent, like Cache::touchedSets().
+    std::uint64_t blocks() const { return blocks_; }
+
+    /// Call fn(lineAddr, entry) for every held entry, in address order
+    /// (validation/tests).
     template <typename Fn>
     void
     forEach(Fn&& fn) const
     {
         if (shadowOn_)
             flushShadow();
-        for (const auto& s : shards_)
-            s.forEach(fn);
+        for (std::size_t pn = 0; pn < pages_.size(); ++pn) {
+            const DirEntry* b = pages_[pn];
+            if (!b)
+                continue;
+            const std::uint64_t* held = heldOf(b);
+            for (std::uint32_t w = 0; w < heldWords_; ++w)
+                for (std::uint64_t bits = held[w]; bits; bits &= bits - 1) {
+                    const std::uint32_t i =
+                        w * 64 + std::countr_zero(bits);
+                    fn((LineAddr{pn} << pageShift_) +
+                           (LineAddr{i} << lineShift_),
+                       b[i]);
+                }
+        }
     }
 
     // ---- Differential-test seam ----
@@ -240,24 +248,76 @@ class Directory
     void enableShadow(bool on) { shadowOn_ = on; }
     bool shadowEnabled() const { return shadowOn_; }
 
-    /// Compare the flat storage against the reference map; empty string
-    /// when identical, else a description of the first divergence.
+    /// Compare the blocks against the reference map; empty string when
+    /// identical, else a description of the first divergence.
     std::string shadowDiff() const;
 
   private:
     std::uint32_t
-    shardOf(LineAddr line) const
+    indexOf(LineAddr line) const
     {
-        return static_cast<std::uint32_t>(line >> pageShift_) &
-               shardMask_;
+        return static_cast<std::uint32_t>(line >> lineShift_) & lineMask_;
     }
+
+    /// The block of `line`'s page, or nullptr.
+    DirEntry*
+    blockOf(LineAddr line) const
+    {
+        const std::uint64_t pn = line >> pageShift_;
+        return pn < pages_.size() ? pages_[pn] : nullptr;
+    }
+
+    /// A block's held bitmap, stored behind its entries (newBlock
+    /// creates the words there).
+    std::uint64_t*
+    heldOf(DirEntry* b) const
+    {
+        return std::launder(
+            reinterpret_cast<std::uint64_t*>(b + linesPerPage_));
+    }
+    const std::uint64_t*
+    heldOf(const DirEntry* b) const
+    {
+        return heldOf(const_cast<DirEntry*>(b));
+    }
+    bool
+    isHeld(const DirEntry* b, std::uint32_t i) const
+    {
+        return (heldOf(b)[i >> 6] >> (i & 63)) & 1;
+    }
+
+    DirEntry&
+    hold(LineAddr line)
+    {
+        DirEntry* b = blockOf(line);
+        if (!b) [[unlikely]]
+            b = newBlock(line >> pageShift_);
+        const std::uint32_t i = indexOf(line);
+        DirEntry& e = b[i];
+        // A held entry that is not Uncached already has its bit.
+        if (e.state == DirState::Uncached)
+            heldOf(b)[i >> 6] |= std::uint64_t{1} << (i & 63);
+        return e;
+    }
+
+    /// Allocate page `pn`'s block, every entry fresh and unheld. Out
+    /// of line: a block lives for many lookups.
+    DirEntry* newBlock(std::uint64_t pn);
+    /// Free page `pn`'s block if none of its entries is held.
+    void freeIfEmpty(std::uint64_t pn);
 
     DirEntry& shadowLookup(LineAddr line);
     void flushShadow() const;
 
-    std::vector<FlatHashMap<DirEntry>> shards_;
-    std::uint32_t shardMask_ = 0;
-    std::uint32_t pageShift_ = 14;
+    /// Page number -> block of linesPerPage_ entries followed by
+    /// heldWords_ bitmap words, or nullptr.
+    std::vector<DirEntry*> pages_;
+    std::uint64_t blocks_ = 0;
+    std::uint32_t pageShift_;
+    std::uint32_t lineShift_;
+    std::uint32_t linesPerPage_;
+    std::uint32_t lineMask_;
+    std::uint32_t heldWords_;
 
     // Shadow state is logically part of validation, not simulation;
     // mutable so const readers (probe/forEach/shadowDiff) can flush

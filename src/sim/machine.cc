@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <bit>
 #include <cassert>
+#include <limits>
 #include <stdexcept>
+#include <string>
 #include <thread>
 
 #include "sim/parallel.hh"
@@ -46,17 +48,16 @@ Machine::alloc(std::uint64_t bytes)
             "makes the operation stream timing-dependent; run this "
             "program with simJobs=1 (or leave the app unflagged in the "
             "registry so core::runApp falls back to serial)");
-    if (rec_ && !recMuted_)
-        rec_->onAlloc(bytes);
     const Addr a = nextAddr_;
     const std::uint64_t page = cfg_.pageBytes;
-    nextAddr_ += (bytes + page - 1) / page * page;
-    // Presize the directory shards for the growing footprint, saving
-    // the FlatHashMap rehash churn the roadmap measured at ~6% of
-    // directory time on big runs (MemSys skips small footprints,
-    // where eager reservation measures slower than natural growth).
-    // Allocation-only; simulated metrics unchanged.
-    mem_.reserveDirectory(nextAddr_);
+    const std::uint64_t pages = bytes / page + (bytes % page != 0);
+    if (pages > (std::numeric_limits<Addr>::max() - a) / page)
+        throw std::overflow_error(
+            "Machine::alloc: " + std::to_string(bytes) +
+            " bytes overflow the simulated address space");
+    if (rec_ && !recMuted_)
+        rec_->onAlloc(bytes);
+    nextAddr_ += pages * page;
     return a;
 }
 

@@ -50,9 +50,16 @@ class Machine
     explicit Machine(const MachineConfig& cfg);
 
     /// Allocate `bytes` of shared address space, page-aligned.
+    /// @throws std::overflow_error if the heap would pass the top of
+    ///         the address space.
     Addr alloc(std::uint64_t bytes);
     /// Allocate one cache line (for locks, flags, counters).
     Addr allocLine();
+
+    /// The heap is [kHeapBase, heapEnd()): page 0 and the rest of the
+    /// first MiB are never allocated.
+    static constexpr Addr kHeapBase = 1u << 20;
+    Addr heapEnd() const { return nextAddr_; }
 
     /// Manual page placement (no-ops unless Placement::Explicit).
     /// @throws std::invalid_argument if `node` is not in [0, numNodes).
@@ -144,7 +151,7 @@ class Machine
     std::vector<Task> tasks_;
     std::deque<BarrierState> barriers_;
     std::deque<LockState> locks_;
-    Addr nextAddr_ = 1u << 20; // leave page 0 unused
+    Addr nextAddr_ = kHeapBase;
     SyncObserver* syncObs_ = nullptr;
     OpRecorder* rec_ = nullptr;
     /// Suppresses onAlloc for the line allocation folded into a

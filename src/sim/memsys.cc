@@ -10,7 +10,7 @@ MemSys::MemSys(const MachineConfig& cfg, const Topology& topo)
     : cfg_(cfg.resolved()),
       topo_(topo),
       pageTable_(cfg, topo.numNodes()),
-      dir_(topo.numNodes(), cfg.pageBytes),
+      dir_(cfg.pageBytes, cfg.lineBytes),
       proto_(Protocol::get(cfg.protocol.kind)),
       hubFree_(topo.numNodes()),
       memFree_(topo.numNodes()),
@@ -34,27 +34,6 @@ MemSys::MemSys(const MachineConfig& cfg, const Topology& topo)
         procNode_[p] = topo.nodeOfProcess(p);
     }
     dir_.enableShadow(cfg.check.shadowDirectory);
-}
-
-void
-MemSys::reserveDirectory(std::uint64_t footprintBytes)
-{
-    std::uint64_t lines = footprintBytes / cfg_.lineBytes;
-    // Only cached lines have live entries, so aggregate cache capacity
-    // bounds the useful reservation however large the footprint.
-    const std::uint64_t cap =
-        cfg_.cacheBytes / cfg_.lineBytes *
-        static_cast<std::uint64_t>(cfg_.numProcs);
-    if (lines > cap)
-        lines = cap;
-    // Small runs reach their steady-state table size in a handful of
-    // cheap rehashes, and an eager reservation costs more (zeroing a
-    // table the run never fills) than the churn it saves — measured
-    // ~9% on the quick bench grid. Only presize once the footprint is
-    // large enough for rehash churn to dominate.
-    if (lines < kReserveMinLines)
-        return;
-    dir_.reserveLines(lines);
 }
 
 Cycles
@@ -481,8 +460,9 @@ MemSys::access(ProcId p, Cycles now, Addr addr, bool write, ProcStats& st)
 
     // True miss: victim first, then the fill transaction. The line's
     // directory entry is looked up only after the victim's entry has
-    // been updated/dropped: the flat directory invalidates references
-    // on insert/erase, so a reference obtained earlier would dangle.
+    // been updated/dropped: dropping the victim may free the block of
+    // its page, which can be this line's page, so a reference obtained
+    // earlier could dangle.
     handleVictim(p, now, res, st);
     pendingFill_[p].erase(line);
     DirEntry& e = dir_.lookup(line);
@@ -725,8 +705,7 @@ MemSys::accessLegacy(ProcId p, Cycles now, Addr addr, bool write,
     if (res.hit && res.upgrade) {
         // Write hit on a Shared line: ownership upgrade at the home.
         // No victim on this path, so the entry reference is safe to
-        // hold (nothing below inserts into or erases from the
-        // directory).
+        // hold (nothing below drops a line from the directory).
         DirEntry& e = dir_.lookup(line);
         ++st.c.upgrades;
         const std::uint64_t inv_before = st.c.invalsSent;
@@ -765,8 +744,9 @@ MemSys::accessLegacy(ProcId p, Cycles now, Addr addr, bool write,
 
     // True miss: victim first, then the fill transaction. The line's
     // directory entry is looked up only after the victim's entry has
-    // been updated/dropped: the flat directory invalidates references
-    // on insert/erase, so a reference obtained earlier would dangle.
+    // been updated/dropped: dropping the victim may free the block of
+    // its page, which can be this line's page, so a reference obtained
+    // earlier could dangle.
     handleVictim(p, now, res, st);
     pendingFill_[p].erase(line);
     DirEntry& e = dir_.lookup(line);
@@ -949,7 +929,7 @@ std::string
 MemSys::validateCoherence() const
 {
     if (dir_.shadowEnabled()) {
-        // Differential seam: the flat sharded storage must mirror the
+        // Differential seam: the page blocks must mirror the
         // reference std::unordered_map exactly, entry for entry.
         std::string diff = dir_.shadowDiff();
         if (!diff.empty())

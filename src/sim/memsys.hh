@@ -163,19 +163,6 @@ class MemSys
     /// transition tables.
     const Protocol& protocol() const { return proto_; }
 
-    /// Presize the directory shards for an application footprint of
-    /// `footprintBytes` (called by Machine::alloc as the heap grows;
-    /// capped by aggregate cache capacity, since only cached lines
-    /// have live entries, and skipped below kReserveMinLines where
-    /// natural growth is cheaper). Allocation-only: never changes
-    /// metrics.
-    void reserveDirectory(std::uint64_t footprintBytes);
-
-    /// Footprint (in lines) below which reserveDirectory() is a
-    /// no-op: small tables reach steady state in a few cheap rehashes
-    /// and eager reservation measures slower on the quick bench grid.
-    static constexpr std::uint64_t kReserveMinLines = 1ull << 17;
-
     NodeId nodeOfProcess(ProcId p) const { return procNode_[p]; }
 
     /// True when processor `p` has a prefetch fill in flight for

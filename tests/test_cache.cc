@@ -185,6 +185,36 @@ TEST(Cache, SetStateInvalidIsRejected)
     EXPECT_EQ(c.probe(0x2000), LineState::Owned);
 }
 
+TEST(Cache, FreshSetMissHasNoVictim)
+{
+    // After reset() every set still holds its old ways: a first access
+    // must neither find nor evict them.
+    for (const int assoc : {1, 2, 4, 16}) {
+        SCOPED_TRACE(testing::Message() << assoc << "-way");
+        Cache c(64 * kLine, assoc, kLine);
+        const Addr stride = c.numSets() * kLine;
+        for (int w = 0; w < assoc; ++w)
+            c.access(0x4000 + w * stride, /*is_write=*/true);
+        c.reset();
+        for (const bool write : {false, true}) {
+            const CacheResult r = c.access(0x4000, write);
+            EXPECT_FALSE(r.hit);
+            EXPECT_FALSE(r.upgrade);
+            EXPECT_EQ(r.victim, 0u);
+            EXPECT_EQ(r.victimState, LineState::Invalid);
+            EXPECT_EQ(c.probe(0x4000),
+                      write ? LineState::Dirty : LineState::Shared);
+            EXPECT_EQ(c.residentLines(), 1u);
+            c.reset();
+        }
+        const CacheResult r = c.install(0x4000 + stride, LineState::Owned);
+        EXPECT_FALSE(r.hit);
+        EXPECT_EQ(r.victimState, LineState::Invalid);
+        EXPECT_EQ(c.probe(0x4000), LineState::Invalid);
+        EXPECT_EQ(c.touchedSets(), 1u);
+    }
+}
+
 TEST(Cache, ResidentCountTracksEvictions)
 {
     Cache c(2 * kLine, 2, kLine); // one set, two ways
@@ -354,9 +384,11 @@ expectSameResult(const CacheResult& got, const CacheResult& want)
 /// Drive `c` and a RefCache of the same geometry through one seeded
 /// random sequence, comparing every result and the full contents after
 /// each op. Addresses come from a few sets with more tags than ways, so
-/// sets fill, evict and get invalidated.
+/// sets fill, evict and get invalidated. Besides the random resets,
+/// both caches are reset every `reset_every` ops (0: never), so sets
+/// holding stale ways are filled fresh again.
 void
-runDifferential(Cache& c, std::uint64_t seed, int ops)
+runDifferential(Cache& c, std::uint64_t seed, int ops, int reset_every = 0)
 {
     RefCache ref(c.numSets(), c.assoc(), c.lineBytes());
     std::mt19937_64 rng(seed);
@@ -407,6 +439,10 @@ runDifferential(Cache& c, std::uint64_t seed, int ops)
             c.reset();
             ref.reset();
         }
+        if (reset_every > 0 && i % reset_every == reset_every - 1) {
+            c.reset();
+            ref.reset();
+        }
         EXPECT_EQ(c.probe(a), ref.probe(a));
         const RefCache::Snapshot want = ref.contents();
         EXPECT_EQ(c.residentLines(), want.size());
@@ -444,7 +480,7 @@ TEST(CacheDifferential, MatchesReferenceLruAcrossGeometries)
             SCOPED_TRACE(testing::Message() << g.bytes << " B, "
                                             << g.assoc << "-way");
             Cache c(g.bytes, g.assoc, kLine);
-            runDifferential(c, seed, 2000);
+            runDifferential(c, seed, 2000, /*reset_every=*/250);
             if (HasFailure())
                 return;
         }

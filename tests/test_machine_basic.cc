@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <functional>
+#include <stdexcept>
 #include <string>
 #include <utility>
 
@@ -242,6 +243,25 @@ TEST(MachineBasic, CacheSetsInitialiseOnFirstTouch)
             << "proc " << p;
     EXPECT_EQ(m.mem().cache(0).touchedSets(),
               static_cast<std::uint64_t>(kLines));
+}
+
+TEST(MachineBasic, AllocOverflowThrowsAndLeavesTheHeap)
+{
+    Machine m(MachineConfig::origin2000(1));
+    const std::uint64_t page = m.config().pageBytes;
+    EXPECT_EQ(m.heapEnd(), Machine::kHeapBase);
+    EXPECT_EQ(m.alloc(1), Machine::kHeapBase);
+    EXPECT_EQ(m.heapEnd(), Machine::kHeapBase + page);
+    // The largest request, and the first that would pass the top of
+    // the address space once rounded up to pages, both throw without
+    // moving the heap, so later allocations cannot overlap.
+    const Addr room = ~Addr{0} - m.heapEnd();
+    for (const std::uint64_t bytes : {~std::uint64_t{0}, room / page *
+                                                             page + 1}) {
+        EXPECT_THROW(m.alloc(bytes), std::overflow_error) << bytes;
+        EXPECT_EQ(m.heapEnd(), Machine::kHeapBase + page);
+    }
+    EXPECT_EQ(m.alloc(page), Machine::kHeapBase + page);
 }
 
 TEST(MachineConfigValidate, ZeroDivisorsAreTypedErrors)

@@ -101,6 +101,11 @@ const std::string kPoisonTraceReq =
 const std::string kBadPlaceTraceReq =
     R"({"id":"n1","type":"trace","trace":"ccnuma-trace v1\nprocs 1\nalloc 16384\nplace 1048576 16384 999\nops 0 1\nr 1048576\nend\n"})";
 
+/// A well-formed trace that reads 1 TiB past its 16 KB heap: fails in
+/// setup, before the page table could grow to reach the address.
+const std::string kBadAddrTraceReq =
+    R"({"id":"h1","type":"trace","trace":"ccnuma-trace v1\nprocs 1\nalloc 16384\nops 0 1\nr 1099511627776\nend\n"})";
+
 serve::ServerOptions
 testOptions()
 {
@@ -401,6 +406,25 @@ TEST(Serve, OutOfRangePlaceIsTypedErrorAndServerSurvives)
     EXPECT_EQ(field(r, "id"), "n1");
     EXPECT_EQ(field(r, "error"), "sim-failed");
     EXPECT_NE(field(r, "detail").find("node 999"), std::string::npos)
+        << field(r, "detail");
+
+    const json::Value ping =
+        parseResponse(c.roundTrip(R"({"id":"a","type":"ping"})"));
+    EXPECT_TRUE(isOk(ping));
+    server.stop();
+}
+
+TEST(Serve, OutOfHeapAddressIsTypedErrorAndServerSurvives)
+{
+    serve::Server server(testOptions());
+    server.start();
+    TestClient c(server.port());
+    const json::Value r = parseResponse(c.roundTrip(kBadAddrTraceReq));
+    EXPECT_FALSE(isOk(r));
+    EXPECT_EQ(field(r, "id"), "h1");
+    EXPECT_EQ(field(r, "error"), "sim-failed");
+    EXPECT_NE(field(r, "detail").find("outside the heap"),
+              std::string::npos)
         << field(r, "detail");
 
     const json::Value ping =

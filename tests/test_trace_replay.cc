@@ -11,6 +11,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <stdexcept>
 #include <string>
 
@@ -229,6 +230,82 @@ TEST(TraceFormat, ParseErrorsCarryLineNumbers)
     expectError("ccnuma-trace v1\nprocs 1\nops 0 0\n", "end");
     expectError("ccnuma-trace v1\nprocs 1\nops 0 0\nend\njunk\n",
                 "trailing content");
+}
+
+// The summed allocations of a trace are capped at 1 GiB: the cap is
+// accepted, one byte more is a parse error on the line that crosses
+// it, and a size that would wrap the sum is no way around it.
+TEST(TraceFormat, TotalAllocationIsCapped)
+{
+    const auto parse = [](const std::string& allocs) {
+        return apps::parseTrace("ccnuma-trace v1\nprocs 1\n" + allocs +
+                                "ops 0 0\nend\n");
+    };
+    const std::string cap = std::to_string(apps::kMaxTraceHeapBytes);
+    EXPECT_EQ(apps::kMaxTraceHeapBytes, 1ull << 30);
+    EXPECT_TRUE(parse("alloc " + cap + "\n").ok);
+    EXPECT_TRUE(parse("alloc 1\nalloc " +
+                      std::to_string(apps::kMaxTraceHeapBytes - 1) + "\n")
+                    .ok);
+    for (const std::string& allocs :
+         {"alloc " + std::to_string(apps::kMaxTraceHeapBytes + 1) + "\n",
+          "alloc 1\nalloc " + cap + "\n",
+          std::string("alloc 1\nalloc 18446744073709551615\n")}) {
+        const apps::TraceParseResult r = parse(allocs);
+        ASSERT_FALSE(r.ok) << allocs;
+        EXPECT_NE(r.error.find("trace heap cap"), std::string::npos)
+            << r.error;
+        const int lines =
+            static_cast<int>(std::count(allocs.begin(), allocs.end(), '\n'));
+        EXPECT_EQ(r.error.rfind("line " + std::to_string(2 + lines) + ":",
+                                0),
+                  0u)
+            << r.error;
+    }
+}
+
+// Addresses outside the replayed heap [1 MiB, heap end) are rejected
+// in setup, before the run could grow page tables to reach them.
+TEST(TraceReplay, OutOfHeapAccessThrowsInSetup)
+{
+    // alloc 8192 takes one 16 KB page, the barrier line the next.
+    for (const char* op : {"r 1099511627776", "w 0", "pf 1048575",
+                           "fo 1081344", "m 18446744073709551615"}) {
+        const apps::TraceParseResult r = apps::parseTrace(
+            std::string("ccnuma-trace v1\nprocs 1\nalloc 8192\nbarrier "
+                        "1\nops 0 2\nr 1048576\n") +
+            op + "\nend\n");
+        ASSERT_TRUE(r.ok) << r.error;
+        apps::TraceReplayApp replay(r.trace);
+        sim::Machine m(sim::MachineConfig::origin2000(1));
+        EXPECT_THROW(replay.setup(m), std::invalid_argument) << op;
+    }
+    // The last byte of the heap (the barrier's page) is in range.
+    const apps::TraceParseResult r = apps::parseTrace(
+        "ccnuma-trace v1\nprocs 1\nalloc 8192\nbarrier 1\nops 0 1\n"
+        "fo 1081343\nend\n");
+    ASSERT_TRUE(r.ok) << r.error;
+    apps::TraceReplayApp replay(r.trace);
+    sim::Machine m(sim::MachineConfig::origin2000(1));
+    replay.setup(m);
+    EXPECT_NO_THROW(m.run(replay.program()));
+}
+
+TEST(TraceReplay, OutOfHeapPlaceThrowsInSetup)
+{
+    for (const char* place :
+         {"place 1048576 16385 0", "place 0 16384 0",
+          "place 17592186044416 16384 0",
+          "place 1048576 18446744073709551615 0",
+          "placeacross 1032192 16384", "placeacross 1048576 32768"}) {
+        const apps::TraceParseResult r = apps::parseTrace(
+            std::string("ccnuma-trace v1\nprocs 1\nalloc 16384\n") +
+            place + "\nops 0 1\nr 1048576\nend\n");
+        ASSERT_TRUE(r.ok) << r.error;
+        apps::TraceReplayApp replay(r.trace);
+        sim::Machine m(sim::MachineConfig::origin2000(1));
+        EXPECT_THROW(replay.setup(m), std::invalid_argument) << place;
+    }
 }
 
 // A parseable trace whose op arguments dangle (barrier index with no
