@@ -3,20 +3,12 @@
  * `ccnuma_bench`: the simulator self-benchmark driver.
  *
  *   ccnuma_bench [--quick] [--json=FILE] [--repeat=N]
- *                [--baseline=FILE] [--min-ratio=R] [--sim-jobs=N]
- *                [--speedup] [--speedup-app=NAME] [--speedup-procs=P]
+ *                [--baseline=FILE] [--min-ratio=R]
  *
  * Times the figure-2 application grid host-side and writes
  * BENCH_sim.json (override with --json=). With --baseline= the run is
  * also gated: exit 1 when aggregate ops/sec falls below
  * min-ratio x baseline (default 0.75, i.e. a >25% regression).
- *
- * --sim-jobs=N runs every grid case on the node-sharded parallel
- * engine (results stay bit-identical; only host wall-clock changes).
- * --speedup additionally times one big-machine case (default: fft on
- * p256) serial vs parallel and reports the wall-clock speedup as a
- * "selfbench/parallel" JSON entry; the >= 1.5x target assumes >= 4
- * host cores.
  */
 
 #include <cstdio>
@@ -58,19 +50,6 @@ main(int argc, char** argv)
 {
     core::cli::Options opt = core::cli::parse(argc, argv);
     const bool quick = opt.takeSwitch("quick");
-    const bool speedup = opt.takeSwitch("speedup");
-
-    std::string speedup_app = "fft";
-    opt.takeFlag("speedup-app", speedup_app);
-
-    std::uint64_t speedup_procs = 256;
-    std::string sp_text;
-    if (opt.takeFlag("speedup-procs", sp_text) &&
-        !core::cli::parseU64(sp_text, speedup_procs)) {
-        std::fprintf(stderr, "ccnuma_bench: bad --speedup-procs=%s\n",
-                     sp_text.c_str());
-        return 2;
-    }
 
     std::string baseline;
     opt.takeFlag("baseline", baseline);
@@ -118,31 +97,9 @@ main(int argc, char** argv)
                 static_cast<unsigned long long>(res.totalMemOps),
                 res.totalWallMs, res.aggOpsPerSec);
 
-    sb::ParallelSpeedup ps;
-    if (speedup) {
-        const std::uint64_t size = quick
-                                       ? 1u << 14
-                                       : std::uint64_t{1} << 16;
-        ps = sb::measureParallelSpeedup(
-            speedup_app, size, static_cast<int>(speedup_procs),
-            opt.simJobs == 1 ? 0 : opt.simJobs, repeat);
-        std::printf("parallel engine: %s p%d serial %.1f ms, "
-                    "parallel %.1f ms -> %.2fx speedup "
-                    "(%d host cores), results %s\n",
-                    ps.app.c_str(), ps.procs, ps.serialMs,
-                    ps.parallelMs, ps.speedup, ps.hostCores,
-                    ps.identical ? "bit-identical" : "DIVERGED");
-        if (ps.hostCores < 4)
-            std::printf("  note: %d host core(s) — the >=1.5x target "
-                        "assumes >=4; speedup not meaningful here\n",
-                        ps.hostCores);
-    }
-
     core::MetricsSink sink(json);
     sink.setMachine(machine);
     sb::emit(sink, res, grid_name, CCNUMA_GIT_DESCRIBE);
-    if (speedup)
-        sb::emit(sink, ps);
     // Keep the perf trajectory: prior history entries in the existing
     // file survive the rewrite, with this run appended.
     char date[16] = "unknown";
@@ -160,14 +117,6 @@ main(int argc, char** argv)
         return 2;
     }
     std::printf("wrote %s\n", json.c_str());
-
-    if (speedup && !ps.identical) {
-        std::fprintf(stderr,
-                     "ccnuma_bench: parallel engine DIVERGED from "
-                     "serial on %s p%d\n",
-                     ps.app.c_str(), ps.procs);
-        return 1;
-    }
 
     if (!baseline.empty()) {
         const sb::CompareResult cmp =

@@ -2,7 +2,6 @@
 
 #include <chrono>
 #include <cstdio>
-#include <thread>
 
 #include "apps/registry.hh"
 #include "check/json.hh"
@@ -67,14 +66,15 @@ runGrid(const std::vector<BenchCase>& grid, int repeat, bool progress,
         if (machine) {
             cfg.protocol = machine->protocol;
             cfg.dirFormat = machine->dirFormat;
-            cfg.simJobs = machine->simJobs;
         }
         CaseResult cr;
         cr.bc = bc;
         double best_ms = 0.0;
         for (int r = 0; r < repeat; ++r) {
-            // Build the app outside the timed region: we benchmark the
-            // simulator, not workload construction.
+            // Only the app object is built outside the timed region:
+            // core::runApp builds the Machine and runs App::setup inside
+            // it, so machine construction and setup are timed with the
+            // run (baseline.json was recorded this way).
             apps::AppPtr app = apps::makeApp(bc.app, bc.size);
             const clock::time_point t0 = clock::now();
             const sim::RunResult res = core::runApp(cfg, *app);
@@ -108,78 +108,6 @@ runGrid(const std::vector<BenchCase>& grid, int repeat, bool progress,
                                  (out.totalWallMs / 1000.0)
                            : 0.0;
     return out;
-}
-
-ParallelSpeedup
-measureParallelSpeedup(const std::string& app, std::uint64_t size,
-                       int procs, int simJobs, int repeat)
-{
-    using clock = std::chrono::steady_clock;
-    if (repeat < 1)
-        repeat = 1;
-    ParallelSpeedup out;
-    out.app = app;
-    out.size = size;
-    out.procs = procs;
-    out.simJobs = simJobs;
-    const unsigned hw = std::thread::hardware_concurrency();
-    out.hostCores = hw ? static_cast<int>(hw) : 1;
-
-    const auto timeOnce = [&](int sim_jobs, std::uint64_t& mem_ops,
-                              std::uint64_t& sim_cycles) {
-        sim::MachineConfig cfg = sim::MachineConfig::origin2000(procs);
-        cfg.simJobs = sim_jobs;
-        double best_ms = 0.0;
-        for (int r = 0; r < repeat; ++r) {
-            apps::AppPtr a = apps::makeApp(app, size);
-            const clock::time_point t0 = clock::now();
-            const sim::RunResult res = core::runApp(cfg, *a);
-            const clock::time_point t1 = clock::now();
-            const double ms =
-                std::chrono::duration<double, std::milli>(t1 - t0)
-                    .count();
-            if (r == 0 || ms < best_ms)
-                best_ms = ms;
-            const sim::ProcCounters c = res.totals();
-            mem_ops = c.loads + c.stores;
-            sim_cycles = static_cast<std::uint64_t>(res.time);
-        }
-        return best_ms;
-    };
-
-    std::uint64_t serial_ops = 0, serial_cycles = 0;
-    std::uint64_t par_ops = 0, par_cycles = 0;
-    out.serialMs = timeOnce(1, serial_ops, serial_cycles);
-    out.parallelMs = timeOnce(simJobs, par_ops, par_cycles);
-    out.speedup = out.parallelMs > 0.0 ? out.serialMs / out.parallelMs
-                                       : 0.0;
-    // The differential contract, spot-checked at bench level: both
-    // engines must have simulated the exact same machine.
-    out.identical =
-        serial_ops == par_ops && serial_cycles == par_cycles;
-    out.simMemOps = serial_ops;
-    out.simCycles = serial_cycles;
-    return out;
-}
-
-void
-emit(core::MetricsSink& sink, const ParallelSpeedup& s)
-{
-    const std::string label = "selfbench/parallel";
-    sink.addText(label, "app", s.app);
-    sink.addCount(label, "size", s.size);
-    sink.addCount(label, "procs",
-                  static_cast<std::uint64_t>(s.procs));
-    sink.addCount(label, "simJobs",
-                  static_cast<std::uint64_t>(s.simJobs));
-    sink.addCount(label, "hostCores",
-                  static_cast<std::uint64_t>(s.hostCores));
-    sink.addCount(label, "simMemOps", s.simMemOps);
-    sink.addCount(label, "simCycles", s.simCycles);
-    sink.addScalar(label, "serialMs", s.serialMs);
-    sink.addScalar(label, "parallelMs", s.parallelMs);
-    sink.addScalar(label, "speedup", s.speedup);
-    sink.addCount(label, "identical", s.identical ? 1 : 0);
 }
 
 void

@@ -80,47 +80,6 @@ GridResult runGrid(const std::vector<BenchCase>& grid, int repeat = 1,
                    const sim::MachineConfig* machine = nullptr);
 
 /**
- * Parallel-engine wall-clock comparison on one big-machine case: the
- * same app run serial (simJobs=1) and on the node-sharded scout/replay
- * engine (simJobs 0 = one host thread per core). Simulated results
- * must be identical — the parallel engine is bit-exact — so only host
- * wall-clock differs.
- */
-struct ParallelSpeedup {
-    std::string app;
-    std::uint64_t size = 0;
-    int procs = 0;
-    int simJobs = 0;      ///< requested worker count (0 = auto)
-    int hostCores = 0;    ///< std::thread::hardware_concurrency()
-    std::uint64_t simMemOps = 0;
-    std::uint64_t simCycles = 0;
-    double serialMs = 0.0;
-    double parallelMs = 0.0;
-    double speedup = 0.0; ///< serialMs / parallelMs
-    /// Simulated mem ops and cycles agreed between the two engines.
-    bool identical = false;
-};
-
-/**
- * Time `app` at `size` on a `procs`-processor origin2000, once with
- * the serial engine and once with simJobs parallel workers; best of
- * `repeat` host timings each. The >= 1.5x speedup target assumes >= 4
- * host cores — on smaller hosts the measurement still runs (and still
- * checks bit identity) but the speedup number is not meaningful.
- */
-ParallelSpeedup measureParallelSpeedup(const std::string& app,
-                                       std::uint64_t size, int procs,
-                                       int simJobs, int repeat = 1);
-
-/**
- * Emit the speedup measurement as a "selfbench/parallel" entry:
- * text "app"; counts "size", "procs", "simJobs", "hostCores",
- * "simMemOps", "simCycles", "identical"; scalars "serialMs",
- * "parallelMs", "speedup".
- */
-void emit(core::MetricsSink& sink, const ParallelSpeedup& s);
-
-/**
  * Emit the grid into `sink`: one entry per case (text "app"; counts
  * "procs", "size", "simMemOps", "simCycles"; scalars "wallMs",
  * "opsPerSec") plus a "selfbench/meta" entry carrying "gitDescribe",

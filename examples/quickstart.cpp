@@ -32,9 +32,7 @@ main(int argc, char** argv)
     sim::MachineConfig cfg = sim::MachineConfig::origin2000(64);
     core::cli::Options opt = core::cli::parse(argc, argv);
     // --protocol / --dir-format (CCNUMA_PROTOCOL / CCNUMA_DIR) swap
-    // the coherence protocol and directory sharer format;
-    // --sim-jobs=N (CCNUMA_SIM_JOBS) runs the simulation itself on N
-    // host threads (0 = one per core) with bit-identical results.
+    // the coherence protocol and directory sharer format.
     core::cli::applyMachine(opt, cfg);
     core::cli::warnUnknown(opt);
     cfg.mappingSeed = opt.seed; // --seed / CCNUMA_SEED

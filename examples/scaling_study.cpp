@@ -3,7 +3,7 @@
  * Scenario: "will my application scale to 128 processors?" -- the
  * paper's core question, for any application in the registry.
  *
- * Usage: scaling_study [app] [size] [--jobs=N] [--sim-jobs=N]
+ * Usage: scaling_study [app] [size] [--jobs=N]
  *                      [--trace=FILE] [--json=FILE] [--seed=N]
  *                      [--epoch-cycles=N]
  *   e.g. scaling_study barnes 16384
@@ -13,11 +13,6 @@
  * (or CCNUMA_JOBS; 0 = one worker per host core) simulates N grid
  * cells concurrently, with results aggregated in submission order and
  * the shared uniprocessor baseline simulated exactly once.
- *
- * --sim-jobs=N (CCNUMA_SIM_JOBS) additionally parallelizes *within*
- * each simulation on the node-sharded scout/replay engine — results
- * stay bit-identical to serial. --jobs stays the total host-thread
- * budget: the study pool runs jobs/sim-jobs cells at once.
  *
  * With --trace=FILE (or CCNUMA_TRACE=FILE) the largest run is traced:
  * FILE gets a Chrome-trace JSON (chrome://tracing / Perfetto) and
@@ -63,7 +58,6 @@ try {
         sim::MachineConfig cfg = sim::MachineConfig::origin2000(P);
         cfg.protocol = proto.protocol;
         cfg.dirFormat = proto.dirFormat;
-        cfg.simJobs = proto.simJobs;
         // --seed / CCNUMA_SEED steers every randomized machine policy
         // (only the topology-mapping permutation today).
         cfg.mappingSeed = opt.seed;
@@ -81,9 +75,7 @@ try {
                  [app, size] { return apps::makeApp(app, size); }, app);
     }
 
-    core::StudyRunner runner({.jobs = opt.jobs,
-                              .simJobs = opt.simJobs,
-                              .progress = true});
+    core::StudyRunner runner({.jobs = opt.jobs, .progress = true});
     const core::StudyResult res = runner.run(plan);
 
     std::printf("%6s %10s %8s %8s   breakdown\n", "procs", "speedup",

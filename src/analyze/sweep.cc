@@ -25,13 +25,7 @@ analyzeApp(const std::string& name, const sim::MachineConfig& cfg,
     out.app = name;
     out.size = size != 0 ? size : check::goldenSize(name);
 
-    // Same clamp as core::runApp: only timing-invariant apps may run
-    // on the parallel scout/replay engine (see apps::timingInvariant).
-    sim::MachineConfig eff = cfg;
-    if (eff.simJobs != 1 && !apps::timingInvariant(name))
-        eff.simJobs = 1;
-
-    sim::Machine m(eff);
+    sim::Machine m(cfg);
     const apps::AppPtr app = apps::makeApp(name, out.size);
     app->setup(m);
 

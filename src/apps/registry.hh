@@ -52,9 +52,10 @@ std::string sizeUnit(const std::string& name);
  * and synchronization calls each process makes) is a pure function of
  * the program and problem size, independent of simulated timing.
  *
- * Only timing-invariant apps may run under the parallel scout/replay
- * engine (sim/parallel.hh) with bit-identical results; core::runApp
- * clamps MachineConfig::simJobs to 1 for the others. Timing-variant
+ * Such an app's stream can be generated ahead of the simulation that
+ * consumes it without changing any result (e.g. to prefetch the host
+ * state the next ops touch); a timing-variant app's cannot, because
+ * its next op may depend on the timing of the last. Timing-variant
  * apps are those whose work distribution is decided dynamically:
  * everything built on apps::TaskQueues (task stealing picks victims by
  * observing queue occupancy), and barnes-mergetree (per-process work

@@ -7,7 +7,7 @@
  * A trace is a full, replayable description of a run: the ordered
  * machine-building calls (arena allocations, barrier/lock creation,
  * explicit page placement) plus each simulated processor's operation
- * stream over the sim::OpKind alphabet. The serial engine is
+ * stream over the sim::OpKind alphabet. The engine is
  * deterministic in (MachineConfig, building calls, op streams), so
  * replaying a trace recorded from an app reproduces that app's run
  * bit-for-bit — miss/invalidation counters, cycle times, everything.
@@ -52,7 +52,7 @@
 #include <vector>
 
 #include "apps/app.hh"
-#include "sim/oplog.hh"
+#include "sim/recorder.hh"
 #include "sim/stats.hh"
 
 namespace ccnuma::apps {
@@ -121,7 +121,7 @@ struct RecordedTrace {
 };
 
 /**
- * Run `app` serially on a machine configured by `cfg` with an operation
+ * Run `app` on a machine configured by `cfg` with an operation
  * recorder attached, and return the captured trace together with the
  * recording run's own RunResult. Works for every app, including the
  * timing-variant ones (the recording bakes their dynamic decisions
@@ -142,8 +142,7 @@ RecordedTrace recordTrace(const sim::MachineConfig& cfg, App& app);
  * bit-identical to the recorded one. Replayed on a different machine
  * (another protocol, directory format, latencies...) it is a what-if
  * experiment over the same workload — the machine must only agree on
- * the processor count. Replay streams are timing-invariant by
- * construction, so traces may run under the parallel engine.
+ * the processor count.
  */
 class TraceReplayApp : public App
 {

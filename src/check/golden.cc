@@ -79,12 +79,11 @@ goldenSize(const std::string& app)
 }
 
 GoldenSnapshot
-computeGolden(int procs, int simJobs)
+computeGolden(int procs)
 {
     GoldenSnapshot snap;
     snap.procs = procs;
-    sim::MachineConfig cfg = sim::MachineConfig::origin2000(procs);
-    cfg.simJobs = simJobs;
+    const sim::MachineConfig cfg = sim::MachineConfig::origin2000(procs);
     for (const std::string& name : apps::listApps()) {
         const std::uint64_t size = goldenSize(name);
         const core::Measurement m = core::measure(

@@ -63,17 +63,7 @@ std::uint64_t goldenSize(const std::string& app);
 
 /// Run every apps::listApps() variant at goldenSize() on an
 /// origin2000(procs) machine and collect the golden numbers.
-///
-/// `simJobs` is MachineConfig::simJobs for the parallel runs (1 =
-/// serial engine, 0 = auto, N > 1 = parallel scout/replay engine).
-/// The snapshot must be identical for every value: the parallel
-/// engine's bit-identity contract makes this function the
-/// differential harness — `toJson(computeGolden(p, N))` must equal
-/// `toJson(computeGolden(p, 1))` byte for byte. Timing-variant apps
-/// (see apps::timingInvariant) are clamped to serial by core::runApp
-/// underneath, so the sweep stays well-defined over the whole
-/// registry.
-GoldenSnapshot computeGolden(int procs = 4, int simJobs = 1);
+GoldenSnapshot computeGolden(int procs = 4);
 
 /// Serialize to the versioned JSON baseline format.
 std::string toJson(const GoldenSnapshot& snap);

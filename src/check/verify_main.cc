@@ -144,11 +144,6 @@ constexpr const char* kUsage =
     "and --dir-format=fullbv|coarse:K|ptr:N (env CCNUMA_PROTOCOL /\n"
     "CCNUMA_DIR); golden always pins the default mesi+fullbv machine\n"
     "\n"
-    "every command takes --sim-jobs=N (env CCNUMA_SIM_JOBS): host\n"
-    "threads per simulation run — 1 = the serial engine (default),\n"
-    "0 = one per host core, N > 1 = the node-sharded parallel engine.\n"
-    "Results are bit-identical to serial for every value\n"
-    "\n"
     "exit status: 0 = verified, 1 = verification failure, 2 = usage\n";
 
 std::string
@@ -338,7 +333,7 @@ runGoldenCmd(core::cli::Options& opt)
     }
 
     const check::GoldenSnapshot current =
-        check::computeGolden(static_cast<int>(procs), opt.simJobs);
+        check::computeGolden(static_cast<int>(procs));
 
     if (bless || hasOut) {
         const std::string path = hasOut ? outPath : defaultGoldenPath();
@@ -542,7 +537,6 @@ runDiagnoseCmd(core::cli::Options& opt)
 {
     diagnose::DiagnoseOptions dopt;
     dopt.jobs = opt.jobs;
-    dopt.simJobs = opt.simJobs;
     dopt.epochCycles = opt.epochCycles;
     std::string procsList;
     if (opt.takeFlag("procs", procsList)) {
@@ -658,11 +652,6 @@ oracleSweep(const sim::MachineConfig& combo,
         cfg.check.validateEvery = 1024;
         cfg.protocol = combo.protocol;
         cfg.dirFormat = combo.dirFormat;
-        // The SC oracle observes replay-side commits, so the parallel
-        // engine is transparent to it — but only timing-invariant apps
-        // may scout (same clamp as core::runApp).
-        cfg.simJobs =
-            apps::timingInvariant(name) ? combo.simJobs : 1;
         sim::Machine m(cfg);
         const apps::AppPtr app =
             apps::makeApp(name, check::goldenSize(name));
@@ -761,7 +750,6 @@ runProtocolsCmd(core::cli::Options& opt)
                              pn.c_str(), dn.c_str());
                 return 2;
             }
-            machine.simJobs = opt.simJobs;
             ComboResult cr;
             cr.proto = pn;
             cr.dir = dn;
@@ -775,7 +763,6 @@ runProtocolsCmd(core::cli::Options& opt)
                 o.opsPerProc = static_cast<int>(ops);
                 o.machine.protocol = machine.protocol;
                 o.machine.dirFormat = machine.dirFormat;
-                o.machine.simJobs = opt.simJobs;
                 const check::StressReport rep = check::runStress(o);
                 if (!rep.failed)
                     continue;
@@ -802,7 +789,6 @@ runProtocolsCmd(core::cli::Options& opt)
                 sim::MachineConfig::origin2000(4);
             raceCfg.protocol = machine.protocol;
             raceCfg.dirFormat = machine.dirFormat;
-            raceCfg.simJobs = opt.simJobs;
             for (const analyze::AppRaceResult& r :
                  analyze::analyzeAllApps(raceCfg)) {
                 if (r.races.empty())
@@ -816,7 +802,6 @@ runProtocolsCmd(core::cli::Options& opt)
             diagnose::DiagnoseOptions dopt;
             dopt.procs = diagProcs;
             dopt.jobs = opt.jobs;
-            dopt.simJobs = opt.simJobs;
             dopt.protocol = machine.protocol;
             dopt.dirFormat = machine.dirFormat;
             for (const std::string& app : diagApps) {

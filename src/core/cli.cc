@@ -119,8 +119,8 @@ parse(int argc, char** argv)
             opt.malformed.push_back(flag + "=" + text);
     };
 
-    // parse() runs once at startup, before any StudyRunner or scout
-    // thread exists, so the non-reentrant getenv is race-free here.
+    // parse() runs once at startup, before any StudyRunner thread
+    // exists, so the non-reentrant getenv is race-free here.
     // NOLINTBEGIN(concurrency-mt-unsafe)
     if (const char* env = std::getenv("CCNUMA_TRACE"))
         opt.traceFile = env;
@@ -128,8 +128,6 @@ parse(int argc, char** argv)
         opt.jsonFile = env;
     if (const char* env = std::getenv("CCNUMA_JOBS"))
         setInt("CCNUMA_JOBS", env, opt.jobs);
-    if (const char* env = std::getenv("CCNUMA_SIM_JOBS"))
-        setInt("CCNUMA_SIM_JOBS", env, opt.simJobs);
     if (const char* env = std::getenv("CCNUMA_SEED"))
         setU64("CCNUMA_SEED", env, opt.seed);
     if (const char* env = std::getenv("CCNUMA_EPOCH"))
@@ -148,8 +146,6 @@ parse(int argc, char** argv)
             opt.jsonFile = json;
         else if (const char* jobs = flagValue(arg, "jobs"))
             setInt("--jobs", jobs, opt.jobs);
-        else if (const char* sj = flagValue(arg, "sim-jobs"))
-            setInt("--sim-jobs", sj, opt.simJobs);
         else if (const char* seed = flagValue(arg, "seed"))
             setU64("--seed", seed, opt.seed);
         else if (const char* epoch = flagValue(arg, "epoch-cycles"))
@@ -170,7 +166,6 @@ bool
 applyMachine(Options& opt, sim::MachineConfig& cfg)
 {
     bool ok = true;
-    cfg.simJobs = opt.simJobs;
     if (!opt.protocol.empty() && !cfg.protocol.parse(opt.protocol)) {
         opt.malformed.push_back("--protocol=" + opt.protocol +
                                 " (want mesi|moesi|dragon)");
@@ -195,7 +190,7 @@ warnUnknown(const Options& opt)
     for (const std::string& f : opt.unknown)
         std::fprintf(stderr,
                      "warning: unknown flag %s (known: --trace=FILE "
-                     "--json=FILE --jobs=N --sim-jobs=N --seed=N "
+                     "--json=FILE --jobs=N --seed=N "
                      "--epoch-cycles=N --protocol=P "
                      "--dir-format=F)\n",
                      f.c_str());

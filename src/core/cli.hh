@@ -9,11 +9,6 @@
  *                  (env fallback: CCNUMA_JSON)
  *   --jobs=N       StudyRunner worker threads; 0 = one per host core
  *                  (env fallback: CCNUMA_JOBS)
- *   --sim-jobs=N   host threads per simulation run: 1 = the serial
- *                  engine (default), 0 = one per host core, N > 1 =
- *                  the node-sharded parallel engine with 1 replay +
- *                  N-1 scout threads (env fallback: CCNUMA_SIM_JOBS).
- *                  Applied to cfg.simJobs by applyMachine().
  *   --seed=N       seed for randomized components (mapping
  *                  permutations, stress programs); env fallback:
  *                  CCNUMA_SEED
@@ -56,12 +51,6 @@ struct Options {
     std::string traceFile;
     std::string jsonFile;
     int jobs = 1;
-    /// MachineConfig::simJobs for each simulation run: 1 = serial
-    /// engine, 0 = auto (one host thread per core), N > 1 = parallel
-    /// scout/replay engine. Applied by applyMachine(). Composes with
-    /// `jobs`: StudyRunner divides its worker count by simJobs so the
-    /// total host-thread budget stays jobs (see StudyOptions).
-    int simJobs = 1;
     std::uint64_t seed = 1;
     /// Epoch length override for interval metrics; 0 = keep the
     /// sim::TraceConfig default (drivers apply it to
@@ -110,11 +99,11 @@ bool parseU64(const std::string& text, std::uint64_t& out);
 bool parseU64List(const std::string& text,
                   std::vector<std::uint64_t>& out);
 
-/// Apply the --protocol / --dir-format / --sim-jobs selections to
-/// `cfg` (cfg.protocol / cfg.dirFormat / cfg.simJobs). A value that
-/// does not parse keeps the machine default and is appended to
-/// opt.malformed, so a later warnUnknown() surfaces it; returns false
-/// in that case. Call once per driver, before warnUnknown().
+/// Apply the --protocol / --dir-format selections to `cfg`
+/// (cfg.protocol / cfg.dirFormat). A value that does not parse keeps
+/// the machine default and is appended to opt.malformed, so a later
+/// warnUnknown() surfaces it; returns false in that case. Call once
+/// per driver, before warnUnknown().
 bool applyMachine(Options& opt, sim::MachineConfig& cfg);
 
 /// Print a warning per unknown flag and per malformed numeric value;

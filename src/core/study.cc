@@ -1,20 +1,12 @@
 #include "core/study.hh"
 
-#include "apps/registry.hh"
-
 namespace ccnuma::core {
 
 sim::RunResult
 runApp(const sim::MachineConfig& cfg, apps::App& app,
        const MachineHook& pre_run)
 {
-    sim::MachineConfig eff = cfg;
-    // The parallel scout/replay engine is only bit-identical for apps
-    // whose operation streams do not depend on simulated timing (task
-    // stealing, rank-dependent work); clamp those back to serial.
-    if (eff.simJobs != 1 && !apps::timingInvariant(app.name()))
-        eff.simJobs = 1;
-    sim::Machine m(eff);
+    sim::Machine m(cfg);
     app.setup(m);
     if (pre_run)
         pre_run(m);

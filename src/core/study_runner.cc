@@ -27,14 +27,11 @@ hostThreads()
     return hw ? static_cast<int>(hw) : 1;
 }
 
-/// Workers = thread budget / per-run weight, clamped to the work
-/// available. `sim_jobs` <= 0 means each run wants the whole host.
+/// Workers = thread budget, clamped to the work available.
 int
-resolveJobs(int requested, std::size_t work_items, int sim_jobs)
+resolveJobs(int requested, std::size_t work_items)
 {
-    int budget = requested <= 0 ? hostThreads() : requested;
-    const int weight = sim_jobs <= 0 ? hostThreads() : sim_jobs;
-    int jobs = budget / weight;
+    int jobs = requested <= 0 ? hostThreads() : requested;
     if (work_items &&
         static_cast<std::size_t>(jobs) > work_items)
         jobs = static_cast<int>(work_items);
@@ -146,7 +143,7 @@ StudyRunner::run(const StudyPlan& plan)
     const std::vector<RunSpec>& specs = plan.specs();
     StudyResult result;
     result.runs.resize(specs.size());
-    result.jobs = resolveJobs(opt_.jobs, specs.size(), opt_.simJobs);
+    result.jobs = resolveJobs(opt_.jobs, specs.size());
     const auto study_t0 = std::chrono::steady_clock::now();
 
     std::atomic<std::size_t> next{0};

@@ -116,17 +116,9 @@ struct StudyResult {
 
 /** Engine knobs. */
 struct StudyOptions {
-    /// Host-thread budget; 0 = one per hardware thread. The worker
-    /// pool gets jobs / simJobs threads (at least one).
+    /// Worker threads, each running one simulation at a time; 0 = one
+    /// per hardware thread. Never more than the plan has runs.
     int jobs = 1;
-    /// Host threads each simulation run consumes — set this to the
-    /// MachineConfig::simJobs the plan's cells use, so a study over
-    /// parallel-engine runs divides its budget instead of
-    /// oversubscribing the host (jobs stays the *total* budget).
-    /// 0 (auto: each run wants the whole machine) collapses the pool
-    /// to one worker. Runs clamped back to serial (timing-variant
-    /// apps) just leave idle headroom — never extra load.
-    int simJobs = 1;
     /// Print one line per completed run to stderr.
     bool progress = false;
 };

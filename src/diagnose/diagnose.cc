@@ -312,7 +312,6 @@ diagnoseImpl(const std::string& label, const core::AppFactory& factory,
         sim::MachineConfig cfg = sim::MachineConfig::origin2000(grid[i]);
         cfg.protocol = opt.protocol;
         cfg.dirFormat = opt.dirFormat;
-        cfg.simJobs = opt.simJobs;
         cfg.trace.intervals = true;
         cfg.trace.sharing = true;
         if (opt.epochCycles)
@@ -329,9 +328,7 @@ diagnoseImpl(const std::string& label, const core::AppFactory& factory,
         plan.add(std::move(spec));
     }
 
-    core::StudyRunner runner({.jobs = opt.jobs,
-                              .simJobs = opt.simJobs,
-                              .progress = opt.progress});
+    core::StudyRunner runner({.jobs = opt.jobs, .progress = opt.progress});
     const core::StudyResult res = runner.run(plan);
 
     for (std::size_t i = 0; i < res.runs.size(); ++i) {

@@ -169,12 +169,6 @@ struct DiagnoseOptions {
     /// Host-thread budget for the grid (StudyRunner); 0 = one per
     /// core.
     int jobs = 1;
-    /// MachineConfig::simJobs for every grid cell: 1 = serial engine,
-    /// N > 1 / 0 = the parallel scout/replay engine. The StudyRunner
-    /// pool divides `jobs` by this so the total host-thread budget is
-    /// unchanged; timing-variant apps are clamped back to serial by
-    /// core::runApp.
-    int simJobs = 1;
     /// Per-run progress lines on stderr.
     bool progress = false;
     /// Coherence protocol / directory format the whole grid runs

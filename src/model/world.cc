@@ -47,12 +47,11 @@ World::makeConfig(const sim::ProtocolConfig& proto,
     cfg.protocol = proto;
     cfg.dirFormat = fmt;
     cfg.check.mutation = mutation;
-    cfg.simJobs = 1;
     return cfg;
 }
 
 World::World(const sim::MachineConfig& cfg)
-    : cfg_(cfg.resolved()),
+    : cfg_(cfg),
       topo_(cfg_),
       mem_(cfg_, topo_),
       stats_(static_cast<std::size_t>(cfg_.numProcs)),

@@ -39,7 +39,7 @@ hotLineText(const obs::SharingProfiler::LineReport& l)
 
 Server::Server(ServerOptions opt)
     : opt_(opt),
-      runner_(core::StudyOptions{.jobs = opt.jobs, .simJobs = 1}),
+      runner_(core::StudyOptions{.jobs = opt.jobs}),
       cache_(opt.cacheEntries)
 {
     if (opt_.workers < 1)

@@ -80,9 +80,8 @@ struct Request {
      * Canonical result-cache key. Includes everything that determines
      * the payload bytes (type, app/size or trace hash, processor list,
      * protocol, dirFormat, baseline, obs) and deliberately excludes
-     * execution knobs that provably do not (worker counts, simJobs —
-     * the engines are bit-identical — and the deadline, which gates
-     * admission, not results).
+     * execution knobs that provably do not (worker counts, and the
+     * deadline, which gates admission, not results).
      */
     std::string cacheKey() const;
 

@@ -35,8 +35,6 @@ MachineConfig::validate() const
         err << "cache set count must be a power of two; ";
     if (quantum == 0)
         err << "quantum must be nonzero; ";
-    if (simJobs < 0)
-        err << "simJobs must be >= 0 (0 = auto); ";
     if (dirFormat.format != DirFormat::FullBitVector &&
         dirFormat.param < 1)
         err << "dirFormat param (coarse:K / ptr:N) must be >= 1; ";
@@ -52,24 +50,6 @@ MachineConfig::validate() const
         numNodes() % nodesPerRouter != 0 && numNodes() > 1)
         err << "node count must be a multiple of nodesPerRouter; ";
     return err.str();
-}
-
-MachineConfig
-MachineConfig::resolved() const
-{
-    MachineConfig r = *this;
-    // One-release shim for the latency knobs that moved into
-    // ProtocolConfig: an old-style caller changed the top-level field
-    // and left the sub-config at its default.
-    static constexpr Cycles kDefaultIntervention = 22;
-    static constexpr Cycles kDefaultInvalPerSharer = 4;
-    if (interventionCycles != kDefaultIntervention &&
-        r.protocol.interventionCycles == kDefaultIntervention)
-        r.protocol.interventionCycles = interventionCycles;
-    if (invalPerSharerCycles != kDefaultInvalPerSharer &&
-        r.protocol.invalPerSharerCycles == kDefaultInvalPerSharer)
-        r.protocol.invalPerSharerCycles = invalPerSharerCycles;
-    return r;
 }
 
 MachineConfig

@@ -124,10 +124,6 @@ struct CheckConfig {
     /// seam; valid only for protocol=mesi + dirFormat=fullbv). Both
     /// paths must produce bit-identical runs.
     bool legacyMesiPath = false;
-    /// Force the serial engine even when simJobs asks for parallel
-    /// execution (bit-identity test seam for the node-sharded scout/
-    /// replay engine). Both engines must produce bit-identical runs.
-    bool serialEngine = false;
 };
 
 /**
@@ -192,14 +188,6 @@ struct MachineConfig {
     /// Directory sharer representation ("fullbv"|"coarse:K"|"ptr:N").
     DirectoryConfig dirFormat;
 
-    /// DEPRECATED (one release): renamed to protocol.interventionCycles.
-    /// resolved() copies a non-default value set here into the new
-    /// field; new code should set protocol.interventionCycles directly.
-    Cycles interventionCycles = 22;
-    /// DEPRECATED (one release): renamed to
-    /// protocol.invalPerSharerCycles; see interventionCycles above.
-    Cycles invalPerSharerCycles = 4;
-
     // ---- Policies ----
     Placement placement = Placement::Explicit;
     Mapping mapping = Mapping::Linear;
@@ -232,22 +220,6 @@ struct MachineConfig {
     /// within a few transaction service times: execution-order disorder
     /// (and thus contention-clock error) is bounded by the quantum.
     Cycles quantum = 500;
-
-    /// Host threads driving one run: 1 = serial engine (default),
-    /// 0 = auto (hardware concurrency), N > 1 = one replay thread plus
-    /// up to N-1 node-sharded scout workers. The parallel engine
-    /// requires a program whose per-processor operation streams do not
-    /// depend on simulated timing (see DESIGN.md "Parallel
-    /// simulation"); core::runApp consults the app registry and falls
-    /// back to serial otherwise. Metrics are byte-identical to the
-    /// serial engine either way.
-    int simJobs = 1;
-    /// Scout time-window width in cycles; 0 = auto, the larger of the
-    /// minimum cross-node network latency (Table 1 floor) and eight
-    /// scheduler quanta. Any width is sound — sync grants are ordered
-    /// canonically at window boundaries — so the knob only trades
-    /// barrier overhead against scout-clock fidelity.
-    Cycles simWindowCycles = 0;
 
     // ---- Derived helpers ----
     int numNodes() const
@@ -295,12 +267,10 @@ struct MachineConfig {
     /// Validate invariants; returns an error string or empty on success.
     std::string validate() const;
 
-    /// Apply the deprecation shims: a deprecated top-level latency knob
-    /// changed from its default is copied into the protocol sub-config
-    /// (unless the sub-config was itself changed, which wins). Machine
-    /// and MemSys resolve their config copy on construction, so callers
-    /// that still set the old fields keep working for one release.
-    MachineConfig resolved() const;
+    /// Returns `*this`. Kept only because perfbench/sim_workloads.cc
+    /// calls it and the benchmark harness changes only with the
+    /// benchmark; new code must not call it.
+    MachineConfig resolved() const { return *this; }
 
     // ---- Named presets ----
     /// The paper's machine: an Origin2000 with `numProcs` processors

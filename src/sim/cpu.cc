@@ -25,26 +25,9 @@ Cpu::writeRange(Addr addr, std::uint64_t bytes)
         write(a);
 }
 
-void
-Cpu::scoutSync(OpKind op, ScoutSyncEvent::Kind k, int id)
-{
-    scout_->log->push(op, static_cast<std::uint64_t>(id));
-    scout_->events->push_back(
-        ScoutSyncEvent{now_, id_, scout_->seq++, k, id});
-    now_ += scout_->syncCost;
-}
-
 Cpu::SyncAwait
 Cpu::barrier(BarrierId b)
 {
-    if (scout_) [[unlikely]] {
-        // Scout pass: every sync parks; the window coordinator grants
-        // arrivals in canonical order at the next boundary. Replay
-        // re-runs the real barrier protocol with exact timing.
-        scoutSync(OpKind::Barrier, ScoutSyncEvent::Kind::BarrierArrive,
-                  b.idx);
-        return SyncAwait{*this, true};
-    }
     if (rec_) [[unlikely]]
         rec_->onOp(id_, OpKind::Barrier,
                    static_cast<std::uint64_t>(b.idx));
@@ -55,11 +38,6 @@ Cpu::barrier(BarrierId b)
 Cpu::SyncAwait
 Cpu::acquire(LockId l)
 {
-    if (scout_) [[unlikely]] {
-        scoutSync(OpKind::Acquire, ScoutSyncEvent::Kind::AcquireReq,
-                  l.idx);
-        return SyncAwait{*this, true};
-    }
     if (rec_) [[unlikely]]
         rec_->onOp(id_, OpKind::Acquire,
                    static_cast<std::uint64_t>(l.idx));
@@ -70,10 +48,6 @@ Cpu::acquire(LockId l)
 void
 Cpu::release(LockId l)
 {
-    if (scout_) [[unlikely]] {
-        scoutSync(OpKind::Release, ScoutSyncEvent::Kind::Release, l.idx);
-        return;
-    }
     if (rec_) [[unlikely]]
         rec_->onOp(id_, OpKind::Release,
                    static_cast<std::uint64_t>(l.idx));
@@ -83,20 +57,12 @@ Cpu::release(LockId l)
 void
 Cpu::reschedule()
 {
-    if (scout_) [[unlikely]] {
-        scout_->yielded = true;
-        return;
-    }
     sched_->ready(id_, now_);
 }
 
 bool
 Cpu::yieldInPlace()
 {
-    if (scout_) [[unlikely]] {
-        scout_->yielded = true;
-        return false;
-    }
     if (!sched_->yield(id_, now_))
         return false;
     beginQuantum(sched_->quantum());
@@ -108,8 +74,6 @@ Cpu::markBlocked()
 {
     // The scheduler needs no call: a processor that returns to it
     // without having re-queued itself is blocked (or done).
-    if (scout_) [[unlikely]]
-        scout_->parked = true;
     if (nestedDepth_ > 0)
         nestedBlocked_ = true;
 }

@@ -15,7 +15,6 @@
 
 #include "obs/trace.hh"
 #include "sim/memsys.hh"
-#include "sim/oplog.hh"
 #include "sim/recorder.hh"
 #include "sim/stats.hh"
 #include "sim/sync.hh"
@@ -48,10 +47,6 @@ class Cpu
     void
     busy(Cycles c)
     {
-        if (scout_) [[unlikely]] {
-            scoutOp(OpKind::Busy, c, c);
-            return;
-        }
         if (rec_) [[unlikely]]
             rec_->onOp(id_, OpKind::Busy, c);
         if (obs::kTracingCompiled && trace_)
@@ -63,10 +58,6 @@ class Cpu
     void
     read(Addr addr)
     {
-        if (scout_) [[unlikely]] {
-            scoutOp(OpKind::Read, addr, scout_->memCost);
-            return;
-        }
         if (rec_) [[unlikely]]
             rec_->onOp(id_, OpKind::Read, addr);
         const Cycles l = mem_->access(id_, now_, addr, false, *stats_);
@@ -79,10 +70,6 @@ class Cpu
     void
     write(Addr addr)
     {
-        if (scout_) [[unlikely]] {
-            scoutOp(OpKind::Write, addr, scout_->memCost);
-            return;
-        }
         if (rec_) [[unlikely]]
             rec_->onOp(id_, OpKind::Write, addr);
         const Cycles l = mem_->access(id_, now_, addr, true, *stats_);
@@ -95,10 +82,6 @@ class Cpu
     void
     prefetch(Addr addr)
     {
-        if (scout_) [[unlikely]] {
-            scoutOp(OpKind::Prefetch, addr, 1);
-            return;
-        }
         if (rec_) [[unlikely]]
             rec_->onOp(id_, OpKind::Prefetch, addr);
         mem_->prefetch(id_, now_, addr, *stats_);
@@ -115,10 +98,6 @@ class Cpu
     void
     fetchOp(Addr addr)
     {
-        if (scout_) [[unlikely]] {
-            scoutOp(OpKind::FetchOp, addr, scout_->memCost);
-            return;
-        }
         if (rec_) [[unlikely]]
             rec_->onOp(id_, OpKind::FetchOp, addr);
         const Cycles l = mem_->fetchOp(id_, now_, addr, *stats_);
@@ -131,10 +110,6 @@ class Cpu
     void
     rmw(Addr addr)
     {
-        if (scout_) [[unlikely]] {
-            scoutOp(OpKind::Rmw, addr, scout_->memCost);
-            return;
-        }
         if (rec_) [[unlikely]]
             rec_->onOp(id_, OpKind::Rmw, addr);
         const Cycles l = mem_->llscRmw(id_, now_, addr, *stats_);
@@ -161,8 +136,6 @@ class Cpu
     Checkpoint
     checkpoint()
     {
-        if (scout_) [[unlikely]]
-            scout_->log->push(OpKind::Checkpoint, 0);
         if (rec_) [[unlikely]]
             rec_->onOp(id_, OpKind::Checkpoint, 0);
         return Checkpoint{*this};
@@ -184,15 +157,12 @@ class Cpu
     NestedCheckpoint
     nestedCheckpoint()
     {
-        // Scout mode records every *potential* yield point. A nested
-        // checkpoint is semantically one top-level checkpoint (when it
-        // fires, the CCNUMA_RUN_NESTED driver's follow-up checkpoint()
-        // suspends with the same quantum state), so it must be in the
-        // replay stream; the driver's own checkpoint() records a
-        // second consecutive Checkpoint op, which replays as a no-op
-        // (a fresh quantum after resume never re-fires immediately).
-        if (scout_) [[unlikely]]
-            scout_->log->push(OpKind::Checkpoint, 0);
+        // A nested checkpoint is semantically one top-level checkpoint
+        // (when it fires, the CCNUMA_RUN_NESTED driver's follow-up
+        // checkpoint() suspends with the same quantum state), so it is
+        // recorded; the driver's own checkpoint() records a second
+        // consecutive Checkpoint op, which replays as a no-op (a fresh
+        // quantum after resume never re-fires immediately).
         if (rec_) [[unlikely]]
             rec_->onOp(id_, OpKind::Checkpoint, 0);
         return {*this};
@@ -257,7 +227,7 @@ class Cpu
     void setNow(Cycles t) { now_ = t; }
     void attachTrace(obs::Trace* t) { trace_ = t; }
     /// Mirror every operation this processor issues into `r` (trace
-    /// recording; see sim/recorder.hh). Serial engine only.
+    /// recording; see sim/recorder.hh).
     void attachRecorder(OpRecorder* r) { rec_ = r; }
     void
     chargeSyncOp(Cycles c)
@@ -294,22 +264,6 @@ class Cpu
     void beginQuantum(Cycles quantum) { quantumEnd_ = now_ + quantum; }
     bool quantumUp() const { return now_ >= quantumEnd_; }
 
-    // ---- scout-mode hooks (the parallel engine's recording pass) ----
-    /// Enter scout mode: operations are recorded into `s->log` and
-    /// advance an approximate scout clock instead of touching MemSys,
-    /// the scheduler, or the trace. See sim/parallel.hh.
-    void attachScout(ScoutLink* s) { scout_ = s; }
-    bool scouting() const { return scout_ != nullptr; }
-    /// Run until the absolute window end (scout workers' quantum).
-    void beginScoutWindow(Cycles end) { quantumEnd_ = end; }
-    /// Apply a window-boundary synchronization grant.
-    void
-    scoutWake(Cycles t)
-    {
-        if (t > now_)
-            now_ = t;
-    }
-
     Machine& machine() { return *machine_; }
     MemSys& mem() { return *mem_; }
 
@@ -320,21 +274,12 @@ class Cpu
     /// return true (keep running, no suspension).
     bool yieldInPlace();
     void markBlocked(); ///< Flag a nested synchronization block.
-    void
-    scoutOp(OpKind k, std::uint64_t arg, Cycles cost)
-    {
-        scout_->log->push(k, arg);
-        now_ += cost;
-    }
-    /// Record a sync op and queue its event for the window coordinator.
-    void scoutSync(OpKind op, ScoutSyncEvent::Kind k, int id);
 
     Machine* machine_;
     MemSys* mem_;
     Scheduler* sched_;
     ProcStats* stats_;
     obs::Trace* trace_ = nullptr;
-    ScoutLink* scout_ = nullptr;
     OpRecorder* rec_ = nullptr;
     ProcId id_;
     int nprocs_;

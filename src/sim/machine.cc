@@ -6,9 +6,6 @@
 #include <limits>
 #include <stdexcept>
 #include <string>
-#include <thread>
-
-#include "sim/parallel.hh"
 
 namespace ccnuma::sim {
 
@@ -22,7 +19,7 @@ validated(MachineConfig cfg)
 }
 
 Machine::Machine(const MachineConfig& cfg)
-    : cfg_(validated(cfg.resolved())), topo_(cfg_), mem_(cfg_, topo_)
+    : cfg_(validated(cfg)), topo_(cfg_), mem_(cfg_, topo_)
 {
     sched_.setQuantum(cfg_.quantum);
 }
@@ -42,12 +39,6 @@ Machine::place(Addr addr, std::uint64_t bytes, NodeId node)
 Addr
 Machine::alloc(std::uint64_t bytes)
 {
-    if (scoutActive_)
-        throw std::logic_error(
-            "Machine::alloc during a parallel run: mid-run allocation "
-            "makes the operation stream timing-dependent; run this "
-            "program with simJobs=1 (or leave the app unflagged in the "
-            "registry so core::runApp falls back to serial)");
     const Addr a = nextAddr_;
     const std::uint64_t page = cfg_.pageBytes;
     const std::uint64_t pages = bytes / page + (bytes % page != 0);
@@ -116,31 +107,9 @@ Machine::run(const Program& program)
             "fresh Machine per run (scheduler and protocol state are "
             "not reset)");
     ran_ = true;
-    const int jobs = resolveSimJobs();
-    // Recording is a serial-engine feature: the scout pass has its own
-    // op-stream machinery and would bypass the recorder taps entirely.
-    if (jobs > 1 && !rec_ && !cfg_.check.serialEngine &&
-        cfg_.numNodes() >= 2 && cfg_.numProcs >= 2)
-        return runParallel(program, jobs - 1);
-    return runSerial(program);
-}
 
-int
-Machine::resolveSimJobs() const
-{
-    int j = cfg_.simJobs;
-    if (j == 0) {
-        const unsigned hw = std::thread::hardware_concurrency();
-        j = hw ? static_cast<int>(hw) : 1;
-    }
-    return j;
-}
-
-void
-Machine::prepareEngine(std::vector<Cpu>& into)
-{
-    statsView_.assign(cfg_.numProcs, ProcStats{});
-    mem_.attachStats(&statsView_);
+    stats_.assign(cfg_.numProcs, ProcStats{});
+    mem_.attachStats(&stats_);
     if (obs::kTracingCompiled && cfg_.trace.any()) {
         std::vector<NodeId> proc_node(cfg_.numProcs);
         for (int p = 0; p < cfg_.numProcs; ++p)
@@ -150,23 +119,15 @@ Machine::prepareEngine(std::vector<Cpu>& into)
             cfg_.nsPerCycle(), std::move(proc_node));
         mem_.attachTrace(trace_.get());
     }
-    into.clear();
-    into.reserve(cfg_.numProcs);
+    cpus_.reserve(cfg_.numProcs);
     for (int p = 0; p < cfg_.numProcs; ++p) {
-        into.emplace_back(*this, mem_, sched_, statsView_[p], p,
-                          cfg_.numProcs);
-        into.back().attachTrace(trace_.get());
-        into.back().attachRecorder(rec_);
+        cpus_.emplace_back(*this, mem_, sched_, stats_[p], p,
+                           cfg_.numProcs);
+        cpus_.back().attachTrace(trace_.get());
+        cpus_.back().attachRecorder(rec_);
     }
-    runCpus_ = &into;
-    sched_.attach(&into);
-}
+    sched_.attach(&cpus_);
 
-RunResult
-Machine::runSerial(const Program& program)
-{
-    prepareEngine(cpus_);
-    tasks_.clear();
     tasks_.reserve(cfg_.numProcs);
     for (int p = 0; p < cfg_.numProcs; ++p) {
         tasks_.push_back(program(cpus_[p]));
@@ -177,143 +138,8 @@ Machine::runSerial(const Program& program)
         t.rethrowIfFailed();
 
     RunResult r;
-    r.procs = statsView_;
+    r.procs = stats_;
     for (const Cpu& c : cpus_)
-        r.time = std::max(r.time, c.now());
-    r.pageMigrations = mem_.pageTable().totalMigrations();
-    r.trace = trace_;
-    return r;
-}
-
-namespace {
-
-/// The replay driver: one per processor, fed by the scout's recorded
-/// stream, executing it against the real Cpu exactly as the serial
-/// engine would have executed the application coroutine.
-Task
-replayProgram(Cpu& cpu, OpStream& in)
-{
-    Op op;
-    while (in.pop(op)) {
-        switch (op.kind) {
-          case OpKind::Read:
-            cpu.read(op.arg);
-            break;
-          case OpKind::Write:
-            cpu.write(op.arg);
-            break;
-          case OpKind::Busy:
-            cpu.busy(op.arg);
-            break;
-          case OpKind::Prefetch:
-            cpu.prefetch(op.arg);
-            break;
-          case OpKind::FetchOp:
-            cpu.fetchOp(op.arg);
-            break;
-          case OpKind::Rmw:
-            cpu.rmw(op.arg);
-            break;
-          case OpKind::Checkpoint:
-            co_await cpu.checkpoint();
-            break;
-          case OpKind::Barrier:
-            co_await cpu.barrier(BarrierId{static_cast<int>(op.arg)});
-            break;
-          case OpKind::Acquire:
-            co_await cpu.acquire(LockId{static_cast<int>(op.arg)});
-            break;
-          case OpKind::Release:
-            cpu.release(LockId{static_cast<int>(op.arg)});
-            break;
-        }
-    }
-    co_return;
-}
-
-} // namespace
-
-RunResult
-Machine::runParallel(const Program& program, int scoutWorkers)
-{
-    // Real engine state: the replay phase *is* the serial engine,
-    // driven over recorded streams instead of application coroutines.
-    prepareEngine(replayCpus_);
-
-    // Scout state: the application coroutines run against these Cpus
-    // in recording mode on the worker threads. Their stats are
-    // scratch; every reported metric comes from the replay side.
-    scoutStats_.assign(cfg_.numProcs, ProcStats{});
-    cpus_.clear();
-    cpus_.reserve(cfg_.numProcs);
-    for (int p = 0; p < cfg_.numProcs; ++p)
-        cpus_.emplace_back(*this, mem_, sched_, scoutStats_[p], p,
-                           cfg_.numProcs);
-
-    std::vector<NodeId> proc_node(cfg_.numProcs);
-    for (int p = 0; p < cfg_.numProcs; ++p)
-        proc_node[p] = topo_.nodeOfProcess(p);
-    std::vector<int> parts;
-    parts.reserve(barriers_.size());
-    for (const BarrierState& bs : barriers_)
-        parts.push_back(bs.participants);
-    const Cycles width =
-        cfg_.simWindowCycles > 0
-            ? cfg_.simWindowCycles
-            : std::max(topo_.minCrossNodeLatencyCycles(),
-                       8 * cfg_.quantum);
-
-    ScoutEngine eng(cpus_, std::move(proc_node), std::move(parts),
-                    static_cast<int>(locks_.size()), width,
-                    scoutWorkers);
-    for (int p = 0; p < cfg_.numProcs; ++p)
-        cpus_[p].attachScout(&eng.link(p));
-
-    tasks_.clear();
-    tasks_.reserve(cfg_.numProcs);
-    std::vector<std::coroutine_handle<>> handles;
-    handles.reserve(cfg_.numProcs);
-    for (int p = 0; p < cfg_.numProcs; ++p) {
-        tasks_.push_back(program(cpus_[p]));
-        handles.push_back(tasks_[p].handle());
-    }
-
-    scoutActive_ = true;
-    eng.start(std::move(handles));
-
-    std::exception_ptr replay_err;
-    try {
-        replayTasks_.clear();
-        replayTasks_.reserve(cfg_.numProcs);
-        for (int p = 0; p < cfg_.numProcs; ++p) {
-            replayTasks_.push_back(
-                replayProgram(replayCpus_[p], eng.stream(p)));
-            sched_.spawn(p, replayTasks_[p].handle());
-        }
-        sched_.run();
-        for (const Task& t : replayTasks_)
-            t.rethrowIfFailed();
-    } catch (...) {
-        replay_err = std::current_exception();
-        eng.requestStop();
-    }
-    eng.join();
-    scoutActive_ = false;
-
-    // Error precedence: an application exception (captured in the
-    // scout tasks) explains everything downstream; then a scout
-    // deadlock/infrastructure failure; a replay failure is last — it
-    // is usually a consequence of the former two (closed streams make
-    // the replay's scheduler see a sync deadlock).
-    for (const Task& t : tasks_)
-        t.rethrowIfFailed();
-    eng.rethrowIfFailed();
-    if (replay_err)
-        std::rethrow_exception(replay_err);
-
-    RunResult r;
-    r.procs = statsView_;
-    for (const Cpu& c : replayCpus_)
         r.time = std::max(r.time, c.now());
     r.pageMigrations = mem_.pageTable().totalMigrations();
     r.trace = trace_;
@@ -397,7 +223,7 @@ Machine::barrierArrive(BarrierId b, Cpu& cpu)
         Cycles wake = release + mem_.netRoundTrip(cpu.id(), p) / 2;
         if (cfg_.barrierAlg == BarrierAlg::Tournament)
             wake += 4u * rounds; // staged wake-up through the tree
-        Cpu& w = (*runCpus_)[p];
+        Cpu& w = cpus_[p];
         ++w.stats().c.barriersPassed;
         if (p == cpu.id()) {
             if (wake > w.now())
@@ -478,7 +304,7 @@ Machine::lockRelease(LockId l, Cpu& cpu)
     (void)blockTime;
     ls.waiters.erase(ls.waiters.begin());
     ls.owner = next;
-    Cpu& w = (*runCpus_)[next];
+    Cpu& w = cpus_[next];
     const Cycles wake = std::max(cpu.now(), w.now()) +
                         mem_.netRoundTrip(cpu.id(), next) / 2 +
                         cfg_.hubCycles;

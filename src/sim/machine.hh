@@ -100,22 +100,16 @@ class Machine
      * Attach (or detach with nullptr) an operation recorder (see
      * sim/recorder.hh): it sees every machine-building call and every
      * per-processor operation, which is a complete replayable
-     * description of the run. Attach before setup()/run(). While a
-     * recorder is attached run() always uses the serial engine — the
-     * parallel scout pass records through its own machinery and the
-     * taps would see nothing.
+     * description of the run. Attach before setup()/run().
      */
     void attachOpRecorder(OpRecorder* r) { rec_ = r; }
 
     /// Called by apps::TaskQueues when a steal succeeds (forwards the
     /// happens-before steal edge to the attached SyncObserver).
-    /// Dropped during a scout pass: steal timing is a timing-dependent
-    /// decision, so task-stealing apps must not run parallel (the
-    /// registry flags them; the differential suite enforces it).
     void
     noteTaskSteal(ProcId thief, ProcId victim)
     {
-        if (syncObs_ && !scoutActive_)
+        if (syncObs_)
             syncObs_->onTaskSteal(thief, victim);
     }
 
@@ -127,21 +121,6 @@ class Machine
 
   private:
     Cycles syncRmwCost(Cpu& cpu, Addr line, ProcId& last_holder);
-
-    /// The single-threaded engine (also the parallel engine's replay
-    /// phase driver when invoked through runParallel).
-    RunResult runSerial(const Program& program);
-    /// The node-sharded scout/replay engine (see sim/parallel.hh):
-    /// scout workers run the program coroutines and record operation
-    /// streams; the calling thread replays them through the serial
-    /// engine concurrently. Byte-identical to runSerial for programs
-    /// whose operation streams do not depend on simulated timing.
-    RunResult runParallel(const Program& program, int scoutWorkers);
-    /// cfg.simJobs with 0 (auto) resolved to the host's concurrency.
-    int resolveSimJobs() const;
-    /// Shared preamble: stats views, tracing, and the real Cpus the
-    /// scheduler drives (`into`).
-    void prepareEngine(std::vector<Cpu>& into);
 
     MachineConfig cfg_;
     Topology topo_;
@@ -158,14 +137,8 @@ class Machine
     /// barrierCreate()/lockCreate() (replay recreates it implicitly).
     bool recMuted_ = false;
     bool ran_ = false;
-    std::vector<ProcStats> statsView_;
+    std::vector<ProcStats> stats_;
     std::shared_ptr<obs::Trace> trace_;
-    // ---- parallel-engine state (see runParallel) ----
-    std::vector<Cpu>* runCpus_ = nullptr; ///< Cpus the sync layer wakes
-    std::vector<Cpu> replayCpus_;
-    std::vector<Task> replayTasks_;
-    std::vector<ProcStats> scoutStats_; ///< scratch; replay stats win
-    bool scoutActive_ = false; ///< guards mid-run alloc/create/steal
 };
 
 } // namespace ccnuma::sim

@@ -7,7 +7,7 @@
 namespace ccnuma::sim {
 
 MemSys::MemSys(const MachineConfig& cfg, const Topology& topo)
-    : cfg_(cfg.resolved()),
+    : cfg_(cfg),
       topo_(topo),
       pageTable_(cfg, topo.numNodes()),
       dir_(cfg.pageBytes, cfg.lineBytes),

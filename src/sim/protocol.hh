@@ -158,8 +158,7 @@ struct Protocol {
 };
 
 /**
- * Protocol choice plus the protocol-level latency knobs that used to
- * live loose in MachineConfig (see the deprecation shim there).
+ * Protocol choice plus the protocol-level latency knobs.
  */
 struct ProtocolConfig {
     ProtocolKind kind = ProtocolKind::MESI;

@@ -8,23 +8,21 @@
  *  - the machine-building calls an application makes in setup() —
  *    alloc, barrier/lock creation, explicit page placement — in call
  *    order, and
- *  - every per-processor operation (the full OpKind alphabet of
- *    sim/oplog.hh: memory ops, busy time, yield points,
- *    synchronization) at the moment the program issues it.
+ *  - every per-processor operation (the full OpKind alphabet below:
+ *    memory ops, busy time, yield points, synchronization) at the
+ *    moment the program issues it.
  *
  * Together the two streams are a complete, replayable description of
  * the run: re-issuing the building calls in order reproduces the
  * address-space layout (arena bases, lock/barrier lines) exactly, and
  * re-issuing each processor's operation stream reproduces the
- * simulation bit-for-bit, because the serial engine is deterministic
+ * simulation bit-for-bit, because the engine is deterministic
  * in (config, per-processor operation streams). apps::TraceReplayApp
  * (apps/trace.hh) is that replayer.
  *
- * Recording is a serial-engine feature: Machine::run falls back to the
- * serial engine while a recorder is attached (the scout pass has its
- * own recording machinery and bypasses these taps). When no recorder
- * is attached the cost is one predictable null test per operation —
- * the same contract as the obs::Trace and SyncObserver hooks.
+ * When no recorder is attached the cost is one predictable null test
+ * per operation — the same contract as the obs::Trace and SyncObserver
+ * hooks.
  */
 
 #ifndef CCNUMA_SIM_RECORDER_HH
@@ -32,10 +30,23 @@
 
 #include <cstdint>
 
-#include "sim/oplog.hh"
 #include "sim/types.hh"
 
 namespace ccnuma::sim {
+
+/** The kind of one processor operation (see Cpu for the semantics). */
+enum class OpKind : std::uint8_t {
+    Read,       ///< arg = address
+    Write,      ///< arg = address
+    Busy,       ///< arg = cycles
+    Prefetch,   ///< arg = address
+    FetchOp,    ///< arg = address
+    Rmw,        ///< arg = address
+    Checkpoint, ///< quantum yield point (no arg)
+    Barrier,    ///< arg = BarrierId::idx
+    Acquire,    ///< arg = LockId::idx
+    Release,    ///< arg = LockId::idx
+};
 
 /** Observer of machine building and the per-processor op streams. */
 class OpRecorder
@@ -62,7 +73,7 @@ class OpRecorder
     // ---- program execution ----
     /// Processor `p` issued one operation (see sim::OpKind for the
     /// meaning of `arg`). Fired at issue, in per-processor program
-    /// order; the machine's serial engine makes the global order
+    /// order; the machine's engine makes the global order
     /// deterministic.
     virtual void onOp(ProcId p, OpKind kind, std::uint64_t arg) = 0;
 };

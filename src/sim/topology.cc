@@ -114,24 +114,4 @@ Topology::distance(NodeId from, NodeId to) const
     return r.hops + 3 * r.metaCrossings;
 }
 
-Cycles
-Topology::minCrossNodeLatencyCycles() const
-{
-    Cycles best = 0;
-    for (NodeId f = 0; f < numNodes_; ++f)
-        for (NodeId t = 0; t < numNodes_; ++t) {
-            if (f == t)
-                continue;
-            const Route r = route(f, t);
-            const Cycles leg =
-                cfg_.linkCycles +
-                static_cast<Cycles>(r.hops) * cfg_.routerCycles +
-                static_cast<Cycles>(r.metaCrossings) *
-                    cfg_.metaRouterCycles;
-            if (best == 0 || leg < best)
-                best = leg;
-        }
-    return best;
-}
-
 } // namespace ccnuma::sim

@@ -70,13 +70,6 @@ class Topology
     /// metaHopEquivalent hops for distance comparisons).
     int distance(NodeId from, NodeId to) const;
 
-    /// Minimum one-way network latency between two *distinct* nodes
-    /// (pure link/router cycles, no contention): the Table 1 floor that
-    /// bounds how soon any cross-node effect can land, and therefore
-    /// the smallest sound time window for the parallel scout engine.
-    /// Returns 0 on single-node machines (no cross-node traffic).
-    Cycles minCrossNodeLatencyCycles() const;
-
     int numNodes() const { return numNodes_; }
     int numRouters() const { return numNodes_ / cfg_.nodesPerRouter; }
     int numMetaRouters() const { return numMetaRouters_; }

@@ -1,7 +1,8 @@
 /**
  * @file
- * Shared helper for the parallel-engine differential tests: assert two
- * RunResults are bit-identical, field by field.
+ * Shared helper for the differential tests (trace replay, StudyRunner
+ * worker counts): assert two RunResults are bit-identical, field by
+ * field.
  */
 
 #ifndef CCNUMA_TESTS_BIT_IDENTITY_HH
@@ -16,44 +17,44 @@
 namespace ccnuma::testutil {
 
 inline void
-expectIdentical(const sim::RunResult& serial, const sim::RunResult& par,
+expectIdentical(const sim::RunResult& want, const sim::RunResult& got,
                 const std::string& what)
 {
     SCOPED_TRACE(what);
-    EXPECT_EQ(serial.time, par.time);
-    EXPECT_EQ(serial.pageMigrations, par.pageMigrations);
-    ASSERT_EQ(serial.procs.size(), par.procs.size());
-    for (std::size_t p = 0; p < serial.procs.size(); ++p) {
+    EXPECT_EQ(want.time, got.time);
+    EXPECT_EQ(want.pageMigrations, got.pageMigrations);
+    ASSERT_EQ(want.procs.size(), got.procs.size());
+    for (std::size_t p = 0; p < want.procs.size(); ++p) {
         SCOPED_TRACE("proc " + std::to_string(p));
-        const sim::ProcTimes& st = serial.procs[p].t;
-        const sim::ProcTimes& pt = par.procs[p].t;
-        EXPECT_EQ(st.busy, pt.busy);
-        EXPECT_EQ(st.memStall, pt.memStall);
-        EXPECT_EQ(st.syncWait, pt.syncWait);
-        EXPECT_EQ(st.syncOp, pt.syncOp);
-        EXPECT_EQ(st.lockWait, pt.lockWait);
-        EXPECT_EQ(st.barrierWait, pt.barrierWait);
-        const sim::ProcCounters& sc = serial.procs[p].c;
-        const sim::ProcCounters& pc = par.procs[p].c;
-        EXPECT_EQ(sc.loads, pc.loads);
-        EXPECT_EQ(sc.stores, pc.stores);
-        EXPECT_EQ(sc.l2Hits, pc.l2Hits);
-        EXPECT_EQ(sc.missLocal, pc.missLocal);
-        EXPECT_EQ(sc.missRemoteClean, pc.missRemoteClean);
-        EXPECT_EQ(sc.missRemoteDirty, pc.missRemoteDirty);
-        EXPECT_EQ(sc.upgrades, pc.upgrades);
-        EXPECT_EQ(sc.invalsSent, pc.invalsSent);
-        EXPECT_EQ(sc.invalsReceived, pc.invalsReceived);
-        EXPECT_EQ(sc.invalsSpurious, pc.invalsSpurious);
-        EXPECT_EQ(sc.updatesSent, pc.updatesSent);
-        EXPECT_EQ(sc.updatesReceived, pc.updatesReceived);
-        EXPECT_EQ(sc.writebacks, pc.writebacks);
-        EXPECT_EQ(sc.prefetchesIssued, pc.prefetchesIssued);
-        EXPECT_EQ(sc.prefetchesUseful, pc.prefetchesUseful);
-        EXPECT_EQ(sc.pageMigrations, pc.pageMigrations);
-        EXPECT_EQ(sc.lockAcquires, pc.lockAcquires);
-        EXPECT_EQ(sc.lockContended, pc.lockContended);
-        EXPECT_EQ(sc.barriersPassed, pc.barriersPassed);
+        const sim::ProcTimes& wt = want.procs[p].t;
+        const sim::ProcTimes& gt = got.procs[p].t;
+        EXPECT_EQ(wt.busy, gt.busy);
+        EXPECT_EQ(wt.memStall, gt.memStall);
+        EXPECT_EQ(wt.syncWait, gt.syncWait);
+        EXPECT_EQ(wt.syncOp, gt.syncOp);
+        EXPECT_EQ(wt.lockWait, gt.lockWait);
+        EXPECT_EQ(wt.barrierWait, gt.barrierWait);
+        const sim::ProcCounters& wc = want.procs[p].c;
+        const sim::ProcCounters& gc = got.procs[p].c;
+        EXPECT_EQ(wc.loads, gc.loads);
+        EXPECT_EQ(wc.stores, gc.stores);
+        EXPECT_EQ(wc.l2Hits, gc.l2Hits);
+        EXPECT_EQ(wc.missLocal, gc.missLocal);
+        EXPECT_EQ(wc.missRemoteClean, gc.missRemoteClean);
+        EXPECT_EQ(wc.missRemoteDirty, gc.missRemoteDirty);
+        EXPECT_EQ(wc.upgrades, gc.upgrades);
+        EXPECT_EQ(wc.invalsSent, gc.invalsSent);
+        EXPECT_EQ(wc.invalsReceived, gc.invalsReceived);
+        EXPECT_EQ(wc.invalsSpurious, gc.invalsSpurious);
+        EXPECT_EQ(wc.updatesSent, gc.updatesSent);
+        EXPECT_EQ(wc.updatesReceived, gc.updatesReceived);
+        EXPECT_EQ(wc.writebacks, gc.writebacks);
+        EXPECT_EQ(wc.prefetchesIssued, gc.prefetchesIssued);
+        EXPECT_EQ(wc.prefetchesUseful, gc.prefetchesUseful);
+        EXPECT_EQ(wc.pageMigrations, gc.pageMigrations);
+        EXPECT_EQ(wc.lockAcquires, gc.lockAcquires);
+        EXPECT_EQ(wc.lockContended, gc.lockContended);
+        EXPECT_EQ(wc.barriersPassed, gc.barriersPassed);
     }
 }
 

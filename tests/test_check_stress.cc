@@ -117,6 +117,12 @@ TEST(StressRun, ReplayIsBitIdentical)
     // Different seeds must actually change the execution.
     const check::StressReport c = check::runStress(quickOptions(54321));
     EXPECT_NE(a.stateHash, c.stateHash);
+
+    // A disciplined (race-free by construction) program replays
+    // bit-identically too.
+    check::StressOptions disc = opt;
+    disc.disciplined = true;
+    EXPECT_TRUE(check::runStress(disc) == check::runStress(disc));
 }
 
 TEST(StressShrink, PassingProgramIsReturnedUnchanged)

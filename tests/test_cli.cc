@@ -31,7 +31,6 @@ struct CleanEnv {
         unsetenv("CCNUMA_TRACE");
         unsetenv("CCNUMA_JSON");
         unsetenv("CCNUMA_JOBS");
-        unsetenv("CCNUMA_SIM_JOBS");
         unsetenv("CCNUMA_SEED");
         unsetenv("CCNUMA_EPOCH");
     }
@@ -187,61 +186,36 @@ TEST(Cli, StrictU64ListParse)
     }
 }
 
-TEST(Cli, SimJobsFlagEnvAndAuto)
+TEST(Cli, RetiredSimJobsFlagIsUnknown)
 {
+    // The flag selected the removed parallel engine; it is now an
+    // ordinary unknown flag, so a script still passing it is warned.
     CleanEnv env;
-    EXPECT_EQ(parseArgs({}).simJobs, 1)
-        << "default is the serial engine";
-    EXPECT_EQ(parseArgs({"--sim-jobs=4"}).simJobs, 4);
-    EXPECT_EQ(parseArgs({"--sim-jobs=0"}).simJobs, 0)
-        << "0 = auto (one host thread per core), resolved by the "
-           "Machine";
-    EXPECT_EQ(parseArgs({"--sim-jobs=1"}).simJobs, 1);
-
-    setenv("CCNUMA_SIM_JOBS", "8", 1);
-    EXPECT_EQ(parseArgs({}).simJobs, 8);
-    EXPECT_EQ(parseArgs({"--sim-jobs=2"}).simJobs, 2)
-        << "flag beats env";
-    unsetenv("CCNUMA_SIM_JOBS");
+    const auto opt = parseArgs({"--sim-jobs=4"});
+    ASSERT_EQ(opt.unknown.size(), 1u);
+    EXPECT_EQ(opt.unknown[0], "--sim-jobs=4");
+    EXPECT_TRUE(opt.malformed.empty());
+    EXPECT_FALSE(core::cli::warnUnknown(opt));
 }
 
-TEST(Cli, SimJobsMalformedKeepsSerialDefault)
+TEST(Cli, ApplyMachineSetsProtocolAndDirFormat)
 {
     CleanEnv env;
-    for (const char* bad :
-         {"--sim-jobs=abc", "--sim-jobs=", "--sim-jobs=2x",
-          "--sim-jobs=-1", "--sim-jobs=+2", "--sim-jobs=4.0",
-          "--sim-jobs=99999999999999999999"}) {
-        const auto opt = parseArgs({bad});
-        EXPECT_EQ(opt.simJobs, 1) << bad;
-        ASSERT_EQ(opt.malformed.size(), 1u) << bad;
-        EXPECT_FALSE(core::cli::warnUnknown(opt)) << bad;
-    }
-
-    setenv("CCNUMA_SIM_JOBS", "not-a-number", 1);
-    const auto env_opt = parseArgs({});
-    EXPECT_EQ(env_opt.simJobs, 1);
-    ASSERT_EQ(env_opt.malformed.size(), 1u);
-    EXPECT_NE(env_opt.malformed[0].find("CCNUMA_SIM_JOBS"),
-              std::string::npos);
-    unsetenv("CCNUMA_SIM_JOBS");
-}
-
-TEST(Cli, ApplyMachineSetsSimJobs)
-{
-    CleanEnv env;
-    auto opt = parseArgs({"--sim-jobs=4"});
+    auto opt = parseArgs({"--protocol=moesi", "--dir-format=coarse:4"});
     sim::MachineConfig cfg = sim::MachineConfig::origin2000(8);
-    EXPECT_EQ(cfg.simJobs, 1);
     EXPECT_TRUE(core::cli::applyMachine(opt, cfg));
-    EXPECT_EQ(cfg.simJobs, 4);
+    EXPECT_EQ(cfg.protocol.kind, sim::ProtocolKind::MOESI);
+    EXPECT_EQ(cfg.dirFormat.format, sim::DirFormat::CoarseVector);
+    EXPECT_EQ(cfg.dirFormat.param, 4);
+    EXPECT_TRUE(core::cli::warnUnknown(opt));
 
-    // A malformed protocol keeps its default and reports, but the
-    // (valid) simJobs still lands.
-    auto bad = parseArgs({"--sim-jobs=2", "--protocol=bogus"});
+    // A value that does not parse keeps the default and is reported.
+    auto bad = parseArgs({"--protocol=bogus"});
     sim::MachineConfig cfg2 = sim::MachineConfig::origin2000(8);
     EXPECT_FALSE(core::cli::applyMachine(bad, cfg2));
-    EXPECT_EQ(cfg2.simJobs, 2);
+    EXPECT_EQ(cfg2.protocol.kind, sim::ProtocolKind::MESI);
+    ASSERT_EQ(bad.malformed.size(), 1u);
+    EXPECT_FALSE(core::cli::warnUnknown(bad));
 }
 
 TEST(Cli, TakeFlagAndSwitchConsumeUnknown)

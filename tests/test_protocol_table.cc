@@ -190,31 +190,6 @@ TEST(DirectoryConfigParse, RejectsMalformedInput)
     EXPECT_EQ(dc.param, 8);
 }
 
-TEST(MachineConfigShim, DeprecatedFieldsResolveIntoProtocolConfig)
-{
-    // Old call sites that set the loose fields keep working for one
-    // release: resolved() copies a non-default value into the
-    // ProtocolConfig slot unless the new field was itself customized.
-    sim::MachineConfig cfg = sim::MachineConfig::origin2000(4);
-    cfg.interventionCycles = 30;
-    cfg.invalPerSharerCycles = 7;
-    const sim::MachineConfig r = cfg.resolved();
-    EXPECT_EQ(r.protocol.interventionCycles, 30u);
-    EXPECT_EQ(r.protocol.invalPerSharerCycles, 7u);
-
-    // The new field wins when both are customized.
-    sim::MachineConfig both = sim::MachineConfig::origin2000(4);
-    both.interventionCycles = 30;
-    both.protocol.interventionCycles = 40;
-    EXPECT_EQ(both.resolved().protocol.interventionCycles, 40u);
-
-    // Defaults stay defaults.
-    const sim::MachineConfig def =
-        sim::MachineConfig::origin2000(4).resolved();
-    EXPECT_EQ(def.protocol.interventionCycles, 22u);
-    EXPECT_EQ(def.protocol.invalPerSharerCycles, 4u);
-}
-
 TEST(MachineConfigValidate, RejectsBadProtocolDirectoryCombinations)
 {
     sim::MachineConfig cfg = sim::MachineConfig::origin2000(4);

@@ -274,9 +274,8 @@ TEST(SchedulerEngine, YieldHandsOverWhenAnotherProcessorIsEarlier)
 {
     // Two processors in lockstep: each over-quantum checkpoint finds
     // the other one earlier, so every yield is a real suspension.
-    ccnuma::sim::MachineConfig cfg =
+    const ccnuma::sim::MachineConfig cfg =
         ccnuma::sim::MachineConfig::origin2000(2);
-    cfg.simJobs = 1;
     ccnuma::sim::Machine m(cfg);
     const Cycles quantum = cfg.quantum;
     m.run([&](ccnuma::sim::Cpu& cpu) -> ccnuma::sim::Task {

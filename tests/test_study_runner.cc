@@ -97,62 +97,33 @@ TEST(StudyRunner, CycleIdenticalToSerialMeasure)
     }
 }
 
-TEST(StudyRunner, SimJobsDividesTheThreadBudget)
+TEST(StudyRunner, JobsIsTheThreadBudget)
 {
     const core::StudyPlan plan = smallGrid(); // 4 cells
 
-    // jobs stays the *total* host-thread budget; each run weighs
-    // simJobs threads, so the pool shrinks accordingly.
-    core::StudyRunner half({.jobs = 8, .simJobs = 2});
-    EXPECT_EQ(half.run(plan).jobs, 4);
+    // Each worker runs one simulation on its own thread, so the pool
+    // is exactly the requested budget while there is work for it.
+    core::StudyRunner two({.jobs = 2});
+    EXPECT_EQ(two.run(plan).jobs, 2);
 
-    core::StudyRunner whole({.jobs = 4, .simJobs = 4});
-    EXPECT_EQ(whole.run(plan).jobs, 1);
+    core::StudyRunner one({.jobs = 1});
+    EXPECT_EQ(one.run(plan).jobs, 1);
 
-    // Budget smaller than one run's weight still makes progress.
-    core::StudyRunner tight({.jobs = 1, .simJobs = 4});
-    EXPECT_EQ(tight.run(plan).jobs, 1);
-
-    // simJobs=0 (auto: each run wants the whole host) with jobs=0
-    // (auto budget: the whole host) collapses to one worker on any
-    // machine.
-    core::StudyRunner autos({.jobs = 0, .simJobs = 0});
-    EXPECT_EQ(autos.run(plan).jobs, 1);
+    // jobs=0 (auto) is one worker per host thread, clamped to the
+    // cells like any other budget.
+    core::StudyRunner autos({.jobs = 0});
+    const int jobs = autos.run(plan).jobs;
+    EXPECT_GE(jobs, 1);
+    EXPECT_LE(jobs, 4);
 }
 
 TEST(StudyRunner, WorkerPoolStillClampedToWorkItems)
 {
     const core::StudyPlan plan = smallGrid(); // 4 cells
-    core::StudyRunner wide({.jobs = 64, .simJobs = 2});
+    core::StudyRunner wide({.jobs = 64});
     const core::StudyResult res = wide.run(plan);
     EXPECT_EQ(res.jobs, 4) << "never more workers than cells";
     EXPECT_EQ(res.failures(), 0u);
-}
-
-TEST(StudyRunner, SimJobsResultsMatchSerialEngine)
-{
-    // The same grid with every cell on the parallel scout/replay
-    // engine must produce byte-identical simulated results.
-    core::StudyPlan serial_plan = smallGrid();
-    core::StudyPlan par_plan;
-    for (const core::RunSpec& s : serial_plan.specs()) {
-        core::RunSpec p = s;
-        p.cfg.simJobs = 2;
-        par_plan.add(std::move(p));
-    }
-
-    core::StudyRunner serial_runner({.jobs = 1});
-    core::StudyRunner par_runner({.jobs = 4, .simJobs = 2});
-    const core::StudyResult a = serial_runner.run(serial_plan);
-    const core::StudyResult b = par_runner.run(par_plan);
-    ASSERT_EQ(a.runs.size(), b.runs.size());
-    for (std::size_t i = 0; i < a.runs.size(); ++i) {
-        SCOPED_TRACE(a.runs[i].name);
-        ASSERT_TRUE(a.runs[i].ok && b.runs[i].ok);
-        EXPECT_EQ(a.runs[i].m.seqTime, b.runs[i].m.seqTime);
-        EXPECT_EQ(a.runs[i].m.parTime, b.runs[i].m.parTime);
-        expectSameStats(a.runs[i].m.par, b.runs[i].m.par);
-    }
 }
 
 TEST(StudyRunner, SingleFlightBaselineDedup)

@@ -14,10 +14,12 @@
 #include <algorithm>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "apps/registry.hh"
 #include "apps/trace.hh"
 #include "bit_identity.hh"
+#include "check/golden.hh"
 #include "core/metrics.hh"
 #include "sim/config.hh"
 #include "sim/machine.hh"
@@ -74,14 +76,55 @@ TEST(TraceReplay, RaytraceExact)
     expectReplayExact("raytrace", 32, sim::MachineConfig::origin2000(4));
 }
 
-// Timing-VARIANT app (task stealing): unreplayable by rerunning the
-// program under another engine, but a recorded trace bakes the dynamic
-// decisions into the streams, so trace replay is still exact. This is
-// the case that distinguishes the recorder from the scout engine.
+// Timing-VARIANT app (task stealing): its op streams change with the
+// machine's timing, but a recorded trace bakes the dynamic decisions
+// into the streams, so trace replay is still exact.
 TEST(TraceReplay, TimingVariantAppExact)
 {
     ASSERT_FALSE(apps::timingInvariant("volrend"));
     expectReplayExact("volrend", 32, sim::MachineConfig::origin2000(4));
+}
+
+/// `name`'s recorded op streams on `cfg` with the Checkpoint ops
+/// dropped: whether a nested checkpoint fires (and so records a second
+/// Checkpoint) depends on the quantum, but nothing else in a stream
+/// may.
+std::vector<std::vector<apps::TraceOp>>
+streamsWithoutCheckpoints(const std::string& name,
+                          const sim::MachineConfig& cfg)
+{
+    auto app = apps::makeApp(name, check::goldenSize(name));
+    std::vector<std::vector<apps::TraceOp>> ops =
+        recordTrace(cfg, *app).trace.ops;
+    for (std::vector<apps::TraceOp>& stream : ops)
+        std::erase_if(stream, [](const apps::TraceOp& op) {
+            return op.kind == sim::OpKind::Checkpoint;
+        });
+    return ops;
+}
+
+// apps::timingInvariant's contract: every app it names records the
+// same op streams on a machine with different timing (protocol,
+// latencies, quantum). Volrend, which steals tasks, is the control:
+// its streams do change, so the comparison can see a difference.
+TEST(TraceReplay, TimingInvariantAppsRecordTheSameStreams)
+{
+    const sim::MachineConfig base = sim::MachineConfig::origin2000(8);
+    sim::MachineConfig other = base;
+    ASSERT_TRUE(other.protocol.parse("moesi"));
+    other.memCycles *= 3;
+    other.linkCycles *= 2;
+    other.quantum = 137;
+
+    for (const std::string& name : apps::listApps()) {
+        if (!apps::timingInvariant(name))
+            continue;
+        SCOPED_TRACE(name);
+        EXPECT_TRUE(streamsWithoutCheckpoints(name, base) ==
+                    streamsWithoutCheckpoints(name, other));
+    }
+    EXPECT_FALSE(streamsWithoutCheckpoints("volrend", base) ==
+                 streamsWithoutCheckpoints("volrend", other));
 }
 
 TEST(TraceReplay, ReplayIsDeterministicAcrossRuns)
