@@ -1,6 +1,6 @@
 /**
  * @file
- * Shared command-line handling for the example and bench binaries.
+ * Shared command-line handling for the example binaries and ccnuma_paper.
  * Every driver understands the same flags:
  *
  *   --trace=FILE   capture + export an observability trace

@@ -1,9 +1,9 @@
 /**
  * @file
- * Machine-readable metrics sink for the bench binaries: collects named
- * run results (breakdowns, totals, scalar series) and writes one JSON
- * document, so a bench's perf trajectory can be tracked across PRs
- * (e.g. `fig3_breakdown --json=BENCH_fig3.json`).
+ * Machine-readable metrics sink for the drivers: collects named run
+ * results (breakdowns, totals, scalar series) and writes one JSON
+ * document, so results can be tracked across revisions (e.g.
+ * `ccnuma_paper fig3_breakdown --json=BENCH_fig3.json`).
  */
 
 #ifndef CCNUMA_CORE_METRICS_HH
@@ -35,7 +35,7 @@ class MetricsSink
 
     /// A sink that collects without a backing file; read it out with
     /// str(). Used by ccnuma_serve to stream results over the wire in
-    /// exactly the format the bench binaries write to disk.
+    /// exactly the format the drivers write to disk.
     static MetricsSink
     inMemory()
     {

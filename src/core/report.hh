@@ -1,8 +1,8 @@
 /**
  * @file
- * Plain-text reporting helpers shared by the bench binaries: figure-style
- * series tables, execution-time breakdown bars and per-processor
- * breakdown continua (the paper's Figures 3 and 5-8).
+ * Plain-text reporting helpers shared by ccnuma_paper and the examples:
+ * figure-style series tables, execution-time breakdown bars and
+ * per-processor breakdown continua (the paper's Figures 3 and 5-8).
  */
 
 #ifndef CCNUMA_CORE_REPORT_HH

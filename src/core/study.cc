@@ -13,6 +13,18 @@ runApp(const sim::MachineConfig& cfg, apps::App& app,
     return m.run(app.program());
 }
 
+sim::Cycles
+seqBaseline(const sim::MachineConfig& cfg, const AppFactory& factory,
+            SeqBaselineCache* seq_cache, const std::string& seq_key)
+{
+    const auto simulate_baseline = [&]() -> sim::Cycles {
+        apps::AppPtr seq_app = factory();
+        return runApp(cfg.baseline(), *seq_app).time;
+    };
+    return seq_cache ? seq_cache->getOrCompute(seq_key, simulate_baseline)
+                     : simulate_baseline();
+}
+
 Measurement
 measure(const sim::MachineConfig& cfg, const AppFactory& factory,
         SeqBaselineCache* seq_cache, const std::string& seq_key,
@@ -20,15 +32,7 @@ measure(const sim::MachineConfig& cfg, const AppFactory& factory,
 {
     Measurement out;
     out.nprocs = cfg.numProcs;
-
-    const auto simulate_baseline = [&]() -> sim::Cycles {
-        apps::AppPtr seq_app = factory();
-        return runApp(cfg.baseline(), *seq_app).time;
-    };
-    out.seqTime = seq_cache
-                      ? seq_cache->getOrCompute(seq_key,
-                                                simulate_baseline)
-                      : simulate_baseline();
+    out.seqTime = seqBaseline(cfg, factory, seq_cache, seq_key);
 
     apps::AppPtr par_app = factory();
     out.par = runApp(cfg, *par_app, pre_run);

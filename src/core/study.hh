@@ -6,8 +6,9 @@
  * problem sizes and machine sizes.
  *
  * Baselines are memoized in a thread-safe SeqBaselineCache (see
- * seq_cache.hh); for whole grids of runs, prefer the parallel
- * StudyRunner (study_runner.hh) over calling measure() in a loop.
+ * seq_cache.hh). measure() is the one-run path; a grid of runs belongs
+ * on the parallel StudyRunner (study_runner.hh), as in ccnuma_paper,
+ * which regenerates every table and figure of the paper from one plan.
  */
 
 #ifndef CCNUMA_CORE_STUDY_HH
@@ -52,6 +53,16 @@ struct Measurement {
         return nprocs ? speedup() / nprocs : 0.0;
     }
 };
+
+/**
+ * Uniprocessor baseline time of factory() on cfg.baseline(), memoized
+ * under `seq_key` in `seq_cache` when one is given (the first caller of
+ * a key runs its own factory; later callers read the cached value).
+ */
+sim::Cycles seqBaseline(const sim::MachineConfig& cfg,
+                        const AppFactory& factory,
+                        SeqBaselineCache* seq_cache = nullptr,
+                        const std::string& seq_key = "");
 
 /**
  * Measure speedup of factory() on `cfg` against the same program on a

@@ -5,6 +5,8 @@
 #include <cstdio>
 #include <mutex>
 #include <thread>
+#include <unordered_map>
+#include <utility>
 
 #include "core/metrics.hh"
 
@@ -150,6 +152,51 @@ StudyRunner::run(const StudyPlan& plan)
     std::atomic<std::size_t> done{0};
     std::mutex progress_mu;
 
+    // prev[i] is the nearest earlier spec sharing spec i's seqKey (or
+    // npos). Spec i resolves its baseline only after that spec has, so
+    // the first spec in plan order defines a shared baseline. Workers
+    // claim specs in plan order, so prev[i] is already claimed and the
+    // wait cannot deadlock.
+    constexpr std::size_t npos = static_cast<std::size_t>(-1);
+    std::vector<std::size_t> prev(specs.size(), npos);
+    {
+        std::unordered_map<std::string, std::size_t> last;
+        for (std::size_t i = 0; i < specs.size(); ++i) {
+            if (!specs[i].baseline || specs[i].seqKey.empty())
+                continue;
+            auto [it, fresh] = last.try_emplace(specs[i].seqKey, i);
+            if (!fresh)
+                prev[i] = std::exchange(it->second, i);
+        }
+    }
+    std::vector<char> settled(specs.size(), 0);
+    std::mutex settle_mu;
+    std::condition_variable settle_cv;
+    const auto baselineOf = [&](std::size_t i) -> sim::Cycles {
+        if (prev[i] != npos) {
+            std::unique_lock<std::mutex> lk(settle_mu);
+            settle_cv.wait(lk, [&] { return settled[prev[i]] != 0; });
+        }
+        const auto settle = [&] {
+            {
+                std::lock_guard<std::mutex> lk(settle_mu);
+                settled[i] = 1;
+            }
+            settle_cv.notify_all();
+        };
+        const RunSpec& spec = specs[i];
+        sim::Cycles seq = 0;
+        try {
+            seq = seqBaseline(spec.cfg, spec.factory, &cache_,
+                              spec.seqKey);
+        } catch (...) {
+            settle();
+            throw;
+        }
+        settle();
+        return seq;
+    };
+
     const auto worker = [&] {
         for (;;) {
             const std::size_t i =
@@ -162,15 +209,12 @@ StudyRunner::run(const StudyPlan& plan)
             out.nprocs = spec.cfg.numProcs;
             const auto t0 = std::chrono::steady_clock::now();
             try {
-                if (spec.baseline) {
-                    out.m = measure(spec.cfg, spec.factory, &cache_,
-                                    spec.seqKey, spec.preRun);
-                } else {
-                    out.m.nprocs = spec.cfg.numProcs;
-                    apps::AppPtr app = spec.factory();
-                    out.m.par = runApp(spec.cfg, *app, spec.preRun);
-                    out.m.parTime = out.m.par.time;
-                }
+                out.m.nprocs = spec.cfg.numProcs;
+                if (spec.baseline)
+                    out.m.seqTime = baselineOf(i);
+                apps::AppPtr app = spec.factory();
+                out.m.par = runApp(spec.cfg, *app, spec.preRun);
+                out.m.parTime = out.m.par.time;
                 out.ok = true;
             } catch (const std::exception& e) {
                 out.error = e.what();

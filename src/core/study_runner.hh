@@ -6,13 +6,20 @@
  * The paper's methodology is a large grid of independent simulations —
  * eleven applications x {32,64,96,128} processors x problem sizes x
  * machine variants. Each sim::Machine is self-contained, so the grid is
- * embarrassingly parallel; the engine exploits that while guaranteeing
- * results that are cycle-identical to running the same plan serially:
+ * embarrassingly parallel. The engine exploits that, and its results
+ * are cycle-identical to a serial loop of measure() calls over the same
+ * plan with the same baseline cache, whatever the job count, provided
+ * each factory builds the same program every time it is called:
  *
  *  - Deterministic aggregation: results come back in submission order
  *    regardless of which worker finished first.
  *  - Single-flight baselines: RunSpecs sharing a seqKey share one
  *    uniprocessor baseline simulation (SeqBaselineCache), never two.
+ *    The first spec in plan order that uses a key runs it, with its
+ *    own factory and config, as the serial loop would; a later spec
+ *    waits for that one and reads the cache. A key the cache already
+ *    holds (from an earlier run() or insert()) is read as is. If the
+ *    owner's baseline throws, the next spec in plan order runs its own.
  *  - Exception isolation: a throwing run fails only its own cell; the
  *    rest of the study completes.
  *  - Progress + timing: optional per-run progress lines on stderr, and

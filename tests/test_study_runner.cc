@@ -1,8 +1,9 @@
 /**
  * @file
  * Tests for the parallel study engine: cycle-identity with the serial
- * path, single-flight baseline dedup, exception isolation, ordered
- * aggregation, and the SeqBaselineCache itself.
+ * path, single-flight baseline dedup, plan-order baseline ownership,
+ * exception isolation, ordered aggregation, and the SeqBaselineCache
+ * itself.
  */
 
 #include <gtest/gtest.h>
@@ -152,6 +153,73 @@ TEST(StudyRunner, SingleFlightBaselineDedup)
     // All four cells report the identical shared baseline.
     for (const core::RunOutcome& r : res.runs)
         EXPECT_EQ(r.m.seqTime, res.runs[0].m.seqTime);
+}
+
+namespace {
+
+/// Forwards to another app, counting the uniprocessor machines it is
+/// set up on.
+class UniprocCountingApp : public apps::App
+{
+  public:
+    UniprocCountingApp(apps::AppPtr inner, std::atomic<int>& uniprocs)
+        : inner_(std::move(inner)), uniprocs_(uniprocs)
+    {}
+    std::string name() const override { return inner_->name(); }
+    void setup(sim::Machine& m) override
+    {
+        if (m.config().numProcs == 1)
+            uniprocs_.fetch_add(1);
+        inner_->setup(m);
+    }
+    sim::Machine::Program program() override { return inner_->program(); }
+
+  private:
+    apps::AppPtr inner_;
+    std::atomic<int>& uniprocs_;
+};
+
+} // namespace
+
+TEST(StudyRunner, SharedBaselineBelongsToFirstSpecInPlanOrder)
+{
+    // Two different programs share one key, as an original and its
+    // restructured version do. The first in plan order must define the
+    // baseline at every job count, however the workers interleave; a
+    // slow first factory keeps the other specs waiting on it.
+    const auto first = [] {
+        std::this_thread::sleep_for(std::chrono::milliseconds(5));
+        return apps::makeApp("fft", 1 << 12);
+    };
+    const auto second = [] { return apps::makeApp("radix", 1 << 12); };
+    const sim::MachineConfig cfg = sim::MachineConfig::origin2000(2);
+    const sim::Cycles want = core::seqBaseline(cfg, first);
+    ASSERT_NE(want, core::seqBaseline(cfg, second))
+        << "the two programs must have different baselines";
+
+    for (const int jobs : {1, 2, 4}) {
+        for (int rep = 0; rep < 10; ++rep) {
+            SCOPED_TRACE("jobs=" + std::to_string(jobs));
+            std::atomic<int> second_uniprocs{0};
+            core::StudyPlan plan;
+            plan.add("first", cfg, first, "shared");
+            for (const int P : {2, 4, 2, 4})
+                plan.add("second P=" + std::to_string(P),
+                         sim::MachineConfig::origin2000(P),
+                         [&] {
+                             return std::make_unique<UniprocCountingApp>(
+                                 second(), second_uniprocs);
+                         },
+                         "shared");
+            core::StudyRunner runner({.jobs = jobs});
+            const core::StudyResult res = runner.run(plan);
+            ASSERT_EQ(res.failures(), 0u);
+            for (const core::RunOutcome& r : res.runs)
+                EXPECT_EQ(r.m.seqTime, want) << r.name;
+            EXPECT_EQ(second_uniprocs.load(), 0)
+                << "the second program never runs the baseline";
+        }
+    }
 }
 
 TEST(StudyRunner, ExceptionIsolation)
