@@ -26,33 +26,14 @@
 #include <vector>
 
 #include "core/cli.hh"
+#include "obs/json.hh"
 #include "serve/net.hh"
-
-namespace {
-
-using namespace ccnuma;
-
-std::string
-jsonEscape(const std::string& s)
-{
-    std::string out;
-    for (const char c : s) {
-        if (c == '"' || c == '\\')
-            out += '\\';
-        if (c == '\n') {
-            out += "\\n";
-            continue;
-        }
-        out += c;
-    }
-    return out;
-}
-
-} // namespace
 
 int
 main(int argc, char** argv)
 {
+    using namespace ccnuma;
+
     core::cli::Options opt = core::cli::parse(argc, argv);
 
     std::string host = "127.0.0.1";
@@ -90,8 +71,9 @@ main(int argc, char** argv)
     while (opt.takeFlag("study", value)) {
         std::string req = "{\"id\":\"" + nextId() +
                           "\",\"type\":\"study\",\"app\":\"" +
-                          jsonEscape(value) + "\",\"size\":" + size +
-                          ",\"procs\":[" + procs + "]";
+                          obs::JsonWriter::escape(value) +
+                          "\",\"size\":" + size + ",\"procs\":[" + procs +
+                          "]";
         if (noBaseline)
             req += ",\"baseline\":false";
         if (obs)
@@ -109,7 +91,7 @@ main(int argc, char** argv)
         text << f.rdbuf();
         std::string req = "{\"id\":\"" + nextId() +
                           "\",\"type\":\"trace\",\"trace\":\"" +
-                          jsonEscape(text.str()) + "\"";
+                          obs::JsonWriter::escape(text.str()) + "\"";
         if (obs)
             req += ",\"obs\":true";
         requests.push_back(req + "}");

@@ -215,30 +215,15 @@ strictFinish(const core::cli::Options& opt, const std::string& cmd)
     return ok;
 }
 
-bool
-takeU64(core::cli::Options& opt, const std::string& name,
-        std::uint64_t& out)
-{
-    std::string v;
-    if (!opt.takeFlag(name, v))
-        return true;
-    if (!core::cli::parseU64(v, out)) {
-        std::fprintf(stderr, "malformed --%s=%s\n", name.c_str(),
-                     v.c_str());
-        return false;
-    }
-    return true;
-}
-
 int
 runStressCmd(core::cli::Options& opt)
 {
     std::uint64_t seeds = 1;
     std::uint64_t procs = 8;
     std::uint64_t ops = 250;
-    if (!takeU64(opt, "seeds", seeds) || !takeU64(opt, "procs", procs) ||
-        !takeU64(opt, "ops", ops))
-        return usageError("stress");
+    opt.takeU64("seeds", seeds);
+    opt.takeU64("procs", procs);
+    opt.takeU64("ops", ops);
     const bool shrinkWitness = opt.takeSwitch("shrink");
     const bool mutate = opt.takeSwitch("mutate");
 
@@ -318,8 +303,7 @@ int
 runGoldenCmd(core::cli::Options& opt)
 {
     std::uint64_t procs = 4;
-    if (!takeU64(opt, "procs", procs))
-        return usageError("golden");
+    opt.takeU64("procs", procs);
     std::string outPath;
     std::string checkPath;
     const bool hasOut = opt.takeFlag("out", outPath);
@@ -462,9 +446,9 @@ runRacesCmd(core::cli::Options& opt)
     std::uint64_t procs = 4;
     std::uint64_t seeds = 1;
     std::uint64_t ops = 250;
-    if (!takeU64(opt, "procs", procs) || !takeU64(opt, "seeds", seeds) ||
-        !takeU64(opt, "ops", ops))
-        return usageError("races");
+    opt.takeU64("procs", procs);
+    opt.takeU64("seeds", seeds);
+    opt.takeU64("ops", ops);
     std::string appName;
     const bool hasApp = opt.takeFlag("app", appName);
     const bool all = opt.takeSwitch("all");
@@ -551,8 +535,7 @@ runDiagnoseCmd(core::cli::Options& opt)
         for (std::uint64_t p : grid)
             dopt.procs.push_back(static_cast<int>(p));
     }
-    if (!takeU64(opt, "size", dopt.size))
-        return usageError("diagnose");
+    opt.takeU64("size", dopt.size);
     std::string appName;
     const bool hasApp = opt.takeFlag("app", appName);
     const bool all = opt.takeSwitch("all");
@@ -694,9 +677,9 @@ runProtocolsCmd(core::cli::Options& opt)
     std::uint64_t seeds = 3;
     std::uint64_t procs = 8;
     std::uint64_t ops = 150;
-    if (!takeU64(opt, "seeds", seeds) ||
-        !takeU64(opt, "procs", procs) || !takeU64(opt, "ops", ops))
-        return usageError("protocols");
+    opt.takeU64("seeds", seeds);
+    opt.takeU64("procs", procs);
+    opt.takeU64("ops", ops);
 
     std::vector<std::string> diagApps = {"fft", "ocean", "radix"};
     std::string appsList;
@@ -910,8 +893,7 @@ int
 runModelCmd(core::cli::Options& opt)
 {
     std::uint64_t maxStates = 1u << 20;
-    if (!takeU64(opt, "max-states", maxStates))
-        return usageError("model");
+    opt.takeU64("max-states", maxStates);
 
     std::vector<int> procs = {2, 3, 4};
     std::string procsList;

@@ -60,6 +60,16 @@ Options::takeSwitch(const std::string& name)
 }
 
 bool
+Options::takeU64(const std::string& name, std::uint64_t& out)
+{
+    std::string value;
+    if (!takeFlag(name, value) || parseU64(value, out))
+        return true;
+    malformed.push_back("--" + name + "=" + value);
+    return false;
+}
+
+bool
 parseU64(const std::string& text, std::uint64_t& out)
 {
     if (text.empty() || text[0] == '-' || text[0] == '+')

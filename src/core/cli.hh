@@ -30,8 +30,8 @@
  * `malformed` and the default is kept — warnUnknown() surfaces both
  * malformed values and unrecognized flags. Anything else starting with
  * "--" is collected in `unknown` (drivers with extra flags consume
- * them via takeFlag()/takeSwitch() before calling warnUnknown());
- * bare words are positional arguments.
+ * them via takeFlag()/takeSwitch()/takeU64() before calling
+ * warnUnknown()); bare words are positional arguments.
  */
 
 #ifndef CCNUMA_CORE_CLI_HH
@@ -84,6 +84,10 @@ struct Options {
     bool takeFlag(const std::string& name, std::string& value);
     /// Consume a bare "--name" switch from `unknown`.
     bool takeSwitch(const std::string& name);
+    /// Consume "--name=N" as a u64 into `out`; true when the flag is
+    /// absent or well formed. A malformed value keeps `out`, goes into
+    /// `malformed` (so warnUnknown() reports it) and returns false.
+    bool takeU64(const std::string& name, std::uint64_t& out);
 };
 
 /// Parse argv (argv[0] skipped) with environment-variable fallbacks.

@@ -30,21 +30,6 @@ onSignal(int)
     gSignal = 1;
 }
 
-bool
-takeU64(ccnuma::core::cli::Options& opt, const std::string& name,
-        std::uint64_t& out)
-{
-    std::string value;
-    if (!opt.takeFlag(name, value))
-        return true;
-    if (!ccnuma::core::cli::parseU64(value, out)) {
-        std::fprintf(stderr, "ccnuma_serve: bad --%s value '%s'\n",
-                     name.c_str(), value.c_str());
-        return false;
-    }
-    return true;
-}
-
 } // namespace
 
 int
@@ -61,31 +46,23 @@ main(int argc, char** argv)
         so.host = value;
     if (opt.takeFlag("unix", value))
         so.unixPath = value;
-    std::uint64_t n = 0;
-    if (!takeU64(opt, "port", n))
+    std::uint64_t port = 0;
+    auto workers = static_cast<std::uint64_t>(so.workers);
+    opt.takeU64("port", port);
+    opt.takeU64("workers", workers);
+    opt.takeU64("max-queue", so.maxQueue);
+    opt.takeU64("cache", so.cacheEntries);
+    opt.takeU64("max-request-bytes", so.maxRequestBytes);
+    // An unknown flag only warns; a malformed number is fatal.
+    core::cli::warnUnknown(opt);
+    if (!opt.malformed.empty())
         return 2;
-    if (n > 65535) {
+    if (port > 65535) {
         std::fprintf(stderr, "ccnuma_serve: bad --port value\n");
         return 2;
     }
-    so.port = static_cast<int>(n);
-    n = static_cast<std::uint64_t>(so.workers);
-    if (!takeU64(opt, "workers", n))
-        return 2;
-    so.workers = static_cast<int>(n);
-    n = so.maxQueue;
-    if (!takeU64(opt, "max-queue", n))
-        return 2;
-    so.maxQueue = n;
-    n = so.cacheEntries;
-    if (!takeU64(opt, "cache", n))
-        return 2;
-    so.cacheEntries = n;
-    n = so.maxRequestBytes;
-    if (!takeU64(opt, "max-request-bytes", n))
-        return 2;
-    so.maxRequestBytes = n;
-    core::cli::warnUnknown(opt);
+    so.port = static_cast<int>(port);
+    so.workers = static_cast<int>(workers);
 
     std::signal(SIGINT, onSignal);
     std::signal(SIGTERM, onSignal);

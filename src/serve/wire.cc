@@ -3,43 +3,17 @@
 #include <algorithm>
 #include <charconv>
 #include <cmath>
-#include <cstdio>
 
 #include "apps/registry.hh"
 #include "check/json.hh"
+#include "obs/json.hh"
 
 namespace ccnuma::serve {
 
 namespace {
 
 namespace json = check::json;
-
-std::string
-jsonEscape(const std::string& s)
-{
-    std::string out;
-    out.reserve(s.size() + 2);
-    for (const char c : s) {
-        switch (c) {
-        case '"': out += "\\\""; break;
-        case '\\': out += "\\\\"; break;
-        case '\n': out += "\\n"; break;
-        case '\r': out += "\\r"; break;
-        case '\t': out += "\\t"; break;
-        default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof(buf), "\\u%04x",
-                              static_cast<unsigned>(
-                                  static_cast<unsigned char>(c)));
-                out += buf;
-            } else {
-                out += c;
-            }
-        }
-    }
-    return out;
-}
+using obs::JsonWriter;
 
 ParsedRequest
 reject(std::string id, std::string code, std::string detail)
@@ -244,25 +218,26 @@ std::string
 errorResponse(const std::string& id, const std::string& code,
               const std::string& detail)
 {
-    return "{\"id\":\"" + jsonEscape(id) + "\",\"ok\":false,\"error\":\"" +
-           jsonEscape(code) + "\",\"detail\":\"" + jsonEscape(detail) +
-           "\"}\n";
+    return "{\"id\":\"" + JsonWriter::escape(id) +
+           "\",\"ok\":false,\"error\":\"" + JsonWriter::escape(code) +
+           "\",\"detail\":\"" + JsonWriter::escape(detail) + "\"}\n";
 }
 
 std::string
 resultResponse(const std::string& id, bool cached,
                const std::string& resultJson)
 {
-    return "{\"id\":\"" + jsonEscape(id) + "\",\"ok\":true,\"cached\":" +
-           (cached ? "true" : "false") + ",\"result\":" + resultJson +
-           "}\n";
+    return "{\"id\":\"" + JsonWriter::escape(id) +
+           "\",\"ok\":true,\"cached\":" + (cached ? "true" : "false") +
+           ",\"result\":" + resultJson + "}\n";
 }
 
 std::string
 ackResponse(const std::string& id, const std::string& type)
 {
-    return "{\"id\":\"" + jsonEscape(id) + "\",\"ok\":true,\"type\":\"" +
-           jsonEscape(type) + "\"}\n";
+    return "{\"id\":\"" + JsonWriter::escape(id) +
+           "\",\"ok\":true,\"type\":\"" + JsonWriter::escape(type) +
+           "\"}\n";
 }
 
 } // namespace ccnuma::serve

@@ -221,8 +221,9 @@ TEST(Cli, ApplyMachineSetsProtocolAndDirFormat)
 TEST(Cli, TakeFlagAndSwitchConsumeUnknown)
 {
     CleanEnv env;
-    auto opt = parseArgs({"--shrink", "--out=base.json", "--leftover"});
-    ASSERT_EQ(opt.unknown.size(), 3u);
+    auto opt = parseArgs({"--shrink", "--out=base.json", "--leftover",
+                          "--seeds=12", "--ops=12x"});
+    ASSERT_EQ(opt.unknown.size(), 5u);
 
     std::string out;
     EXPECT_TRUE(opt.takeFlag("out", out));
@@ -231,7 +232,22 @@ TEST(Cli, TakeFlagAndSwitchConsumeUnknown)
     EXPECT_FALSE(opt.takeSwitch("shrink")) << "consumed only once";
     EXPECT_FALSE(opt.takeFlag("missing", out));
 
+    // takeU64: absent keeps the value, valid parses, malformed keeps
+    // the value and is reported through `malformed`.
+    std::uint64_t n = 7;
+    EXPECT_TRUE(opt.takeU64("procs", n));
+    EXPECT_EQ(n, 7u);
+    EXPECT_TRUE(opt.takeU64("seeds", n));
+    EXPECT_EQ(n, 12u);
+    EXPECT_TRUE(opt.malformed.empty());
+    EXPECT_FALSE(opt.takeU64("ops", n));
+    EXPECT_EQ(n, 12u);
+    ASSERT_EQ(opt.malformed.size(), 1u);
+    EXPECT_EQ(opt.malformed[0], "--ops=12x");
+
     ASSERT_EQ(opt.unknown.size(), 1u);
     EXPECT_EQ(opt.unknown[0], "--leftover");
     EXPECT_FALSE(core::cli::warnUnknown(opt));
+    opt.unknown.clear();
+    EXPECT_FALSE(core::cli::warnUnknown(opt)) << "malformed alone fails";
 }

@@ -116,6 +116,8 @@ TEST(MetricsSchema, SinkOutputIsValidAndComplete)
     sink.add("run-a", r);
     sink.addScalar("run-a", "speedup", 1.5);
     sink.addScalar("scalar-only", "efficiency", 0.75);
+    sink.addText("run-a", "protocol", "moesi \"v2\"");
+    sink.addCount("run-a", "states", 18446744073709551615ull);
     ASSERT_TRUE(sink.write());
 
     const auto doc = check::json::parseFile(path);
@@ -128,6 +130,12 @@ TEST(MetricsSchema, SinkOutputIsValidAndComplete)
     const Value& a = runs->arr[0];
     EXPECT_EQ(a.find("label")->str, "run-a");
     EXPECT_DOUBLE_EQ(a.find("speedup")->asDouble(), 1.5);
+    ASSERT_NE(a.find("protocol"), nullptr);
+    EXPECT_TRUE(a.find("protocol")->isString());
+    EXPECT_EQ(a.find("protocol")->str, "moesi \"v2\"");
+    ASSERT_NE(a.find("states"), nullptr);
+    EXPECT_TRUE(a.find("states")->isNumber());
+    EXPECT_EQ(a.find("states")->asU64(), 18446744073709551615ull);
     EXPECT_GT(a.find("runCycles")->asU64(), 0u);
     const Value* totals = a.find("totals");
     ASSERT_NE(totals, nullptr);

@@ -650,11 +650,13 @@ TEST(Wire, CacheKeyCanonicalization)
 TEST(Wire, ResponsesEscapeStrings)
 {
     const std::string resp =
-        serve::errorResponse("a\"b", "bad-json", "line\nbreak");
+        serve::errorResponse("a\"b\x01", "bad-json", "line\nbreak");
+    EXPECT_EQ(resp, "{\"id\":\"a\\\"b\\u0001\",\"ok\":false,\"error\":"
+                    "\"bad-json\",\"detail\":\"line\\nbreak\"}\n");
     const json::ParseResult parsed =
         json::parse(resp.substr(0, resp.size() - 1));
     ASSERT_TRUE(parsed.ok) << parsed.error;
-    EXPECT_EQ(parsed.root.find("id")->str, "a\"b");
+    EXPECT_EQ(parsed.root.find("id")->str, "a\"b\x01");
     EXPECT_EQ(parsed.root.find("detail")->str, "line\nbreak");
 }
 
