@@ -22,6 +22,15 @@ namespace ccnuma::apps {
  * the Machine that will run it (allocates arenas, places pages, creates
  * barriers/locks, precomputes host-side data), then pass program() to
  * Machine::run(). An App instance is bound to one Machine after setup.
+ *
+ * Host-side data that does not depend on the machine (a dataset, a
+ * traversal or work profile) may be obtained in setup() through
+ * apps::sharedInput (input_cache.hh), which lets every run of one
+ * study read one copy. Such a shared input is immutable once built and
+ * a pure function of its key: the key must name every parameter the
+ * build reads, and neither setup() nor program() may mutate it.
+ * program() closures hold the input's shared_ptr, never a raw pointer
+ * into it, so the input lives as long as the program does.
  */
 class App
 {

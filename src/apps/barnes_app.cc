@@ -2,7 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
-#include <map>
+#include <cstring>
+#include <string>
+
+#include "apps/input_cache.hh"
 
 namespace ccnuma::apps {
 
@@ -23,64 +26,102 @@ BarnesApp::name() const
     return "barnes";
 }
 
+/// Everything setup derives from (numBodies, seed, theta) alone.
+struct BarnesInput {
+    explicit BarnesInput(const BarnesConfig& cfg);
+
+    std::vector<kn::Body> bodies;
+    kn::Octree tree;                     ///< With moments computed.
+    std::vector<int> order;              ///< Morton rank -> body.
+    std::vector<std::vector<std::uint32_t>> visits; ///< body -> cells.
+    std::vector<double> costInOrder;     ///< Morton rank -> visits.
+    std::vector<std::size_t> cellRank;   ///< cell -> Morton rank.
+    std::vector<std::uint8_t> cellDepth; ///< cell -> tree depth.
+    std::vector<std::uint64_t> subBodies; ///< cell -> subtree bodies.
+};
+
+// ---- Host-side: real bodies, real tree, real traversal costs ----
+BarnesInput::BarnesInput(const BarnesConfig& cfg)
+    : bodies(kn::plummerBodies(cfg.numBodies, cfg.seed)),
+      tree(bodies, 1.0)
+{
+    const std::uint64_t n = cfg.numBodies;
+    tree.computeMoments(bodies);
+
+    order = kn::mortonOrder(bodies, 1.0);
+    visits.resize(n);
+    costInOrder.resize(n);
+    for (std::uint64_t r = 0; r < n; ++r) {
+        const int b = order[r];
+        visits[b].reserve(64);
+        tree.force(bodies, b, cfg.theta, [&](int ci) {
+            visits[b].push_back(static_cast<std::uint32_t>(ci));
+        });
+        costInOrder[r] = static_cast<double>(visits[b].size());
+    }
+
+    // Each cell's Morton rank among the bodies: where its center
+    // falls in the body order (body_keys is sorted, as order is).
+    const auto& cells = tree.cells();
+    std::vector<std::uint64_t> body_keys(n);
+    for (std::uint64_t r = 0; r < n; ++r)
+        body_keys[r] = kn::mortonKey(bodies[order[r]].pos, 1.0, 10);
+    cellRank.resize(cells.size());
+    cellDepth.resize(cells.size());
+    for (std::size_t c = 0; c < cells.size(); ++c) {
+        const std::uint64_t key =
+            kn::mortonKey(cells[c].center, 1.0, 10);
+        cellRank[c] =
+            std::lower_bound(body_keys.begin(), body_keys.end(), key) -
+            body_keys.begin();
+        cellDepth[c] = static_cast<std::uint8_t>(
+            std::min(255, tree.depthOf(static_cast<int>(c))));
+    }
+
+    // Bodies per cell (subtree-inclusive): leaves hold one body.
+    subBodies.assign(cells.size(), 0);
+    for (std::size_t c = cells.size(); c-- > 0;) {
+        if (cells[c].body >= 0)
+            subBodies[c] += 1;
+        if (cells[c].parent >= 0)
+            subBodies[cells[c].parent] += subBodies[c];
+    }
+}
+
 void
 BarnesApp::setup(Machine& m)
 {
     nprocs_ = m.config().numProcs;
     const std::uint64_t n = cfg_.numBodies;
 
-    // ---- Host-side: real bodies, real tree, real traversal costs ----
-    bodies_ = kn::plummerBodies(n, cfg_.seed);
-    tree_ = std::make_unique<kn::Octree>(bodies_, 1.0);
-    tree_->computeMoments(bodies_);
+    std::uint64_t theta_bits = 0;
+    std::memcpy(&theta_bits, &cfg_.theta, sizeof theta_bits);
+    in_ = sharedInput<BarnesInput>(
+        "n=" + std::to_string(n) + ",seed=" + std::to_string(cfg_.seed) +
+            ",theta=" + std::to_string(theta_bits),
+        [&] { return BarnesInput(cfg_); });
+    const BarnesInput& in = *in_;
+    const auto& order = in.order;
 
-    const std::vector<int> order = kn::mortonOrder(bodies_, 1.0);
-    visits_.resize(n);
-    std::vector<double> cost_in_order(n);
-    for (std::uint64_t r = 0; r < n; ++r) {
-        const int b = order[r];
-        visits_[b].reserve(64);
-        tree_->force(bodies_, b, cfg_.theta, [&](int ci) {
-            visits_[b].push_back(static_cast<std::uint32_t>(ci));
-        });
-        cost_in_order[r] = static_cast<double>(visits_[b].size());
-    }
-    const auto starts = kn::costzoneSplit(cost_in_order, nprocs_);
-    bodyOwner_.assign(n, 0);
+    const auto starts = kn::costzoneSplit(in.costInOrder, nprocs_);
+    std::vector<int> body_owner(n, 0);
     myBodies_.assign(nprocs_, {});
     for (int p = 0; p < nprocs_; ++p)
         for (std::size_t r = starts[p]; r < starts[p + 1]; ++r) {
-            bodyOwner_[order[r]] = p;
+            body_owner[order[r]] = p;
             myBodies_[p].push_back(order[r]);
         }
 
     // Cell owner by space: map each cell's Morton rank onto the body
     // partition (used by Spatial placement/build and by moments).
-    const auto& cells = tree_->cells();
-    std::vector<std::uint64_t> body_keys(n);
-    for (std::uint64_t r = 0; r < n; ++r)
-        body_keys[r] = kn::mortonKey(bodies_[order[r]].pos, 1.0, 10);
-    // body_keys is sorted (order is Morton order).
+    const auto& cells = in.tree.cells();
     cellOwner_.assign(cells.size(), 0);
     localCells_.assign(nprocs_, 0);
     for (std::size_t c = 0; c < cells.size(); ++c) {
-        const std::uint64_t key =
-            kn::mortonKey(cells[c].center, 1.0, 10);
-        const std::size_t rank =
-            std::lower_bound(body_keys.begin(), body_keys.end(), key) -
-            body_keys.begin();
-        int ow = 0;
-        for (int p = 0; p < nprocs_; ++p)
-            if (rank >= starts[p] && rank < starts[p + 1] + (p ==
-                nprocs_ - 1 ? 1 : 0))
-                ow = p;
+        const int ow = kn::costzoneOwner(starts, in.cellRank[c]);
         cellOwner_[c] = ow;
         ++localCells_[ow];
     }
-    cellDepth_.resize(cells.size());
-    for (std::size_t c = 0; c < cells.size(); ++c)
-        cellDepth_[c] = static_cast<std::uint8_t>(
-            std::min(255, tree_->depthOf(static_cast<int>(c))));
 
     // Spatial variant: the space is divided into whole subtrees
     // ("pieces"), recursively subdivided until no piece holds more
@@ -88,14 +129,7 @@ BarnesApp::setup(Machine& m)
     // body count. Pieces must stay whole subtrees, so balance is
     // imperfect -- the variant's load-balance cost.
     {
-        // Bodies per cell (subtree-inclusive): leaves hold one body.
-        std::vector<std::uint64_t> sub_bodies(cells.size(), 0);
-        for (std::size_t c = cells.size(); c-- > 0;) {
-            if (cells[c].body >= 0)
-                sub_bodies[c] += 1;
-            if (cells[c].parent >= 0)
-                sub_bodies[cells[c].parent] += sub_bodies[c];
-        }
+        const auto& sub_bodies = in.subBodies;
         const std::uint64_t cap =
             std::max<std::uint64_t>(1, n / (3 * nprocs_));
         // Recursively collect pieces from the root.
@@ -118,7 +152,7 @@ BarnesApp::setup(Machine& m)
                       return sub_bodies[a] > sub_bodies[b];
                   });
         buildBodies_.assign(nprocs_, 0);
-        std::map<int, int> piece_owner;
+        std::vector<int> piece_owner(cells.size(), -1);
         for (const int root : piece_roots) {
             const int best = static_cast<int>(
                 std::min_element(buildBodies_.begin(),
@@ -127,13 +161,14 @@ BarnesApp::setup(Machine& m)
             piece_owner[root] = best;
             buildBodies_[best] += sub_bodies[root];
         }
-        // Each cell belongs to the nearest ancestor piece root.
+        // Each cell belongs to its nearest ancestor piece root (0 if
+        // none); parents precede their children in the cell array.
         buildOwner_.assign(cells.size(), 0);
         for (std::size_t c = 0; c < cells.size(); ++c) {
-            int a = static_cast<int>(c);
-            while (a >= 0 && !piece_owner.count(a))
-                a = cells[a].parent;
-            buildOwner_[c] = a >= 0 ? piece_owner[a] : 0;
+            const int parent = cells[c].parent;
+            buildOwner_[c] = piece_owner[c] >= 0 ? piece_owner[c]
+                             : parent >= 0      ? buildOwner_[parent]
+                                                : 0;
         }
     }
 
@@ -141,7 +176,7 @@ BarnesApp::setup(Machine& m)
     bodyArena_ = m.alloc(n * 128);
     for (std::uint64_t b = 0; b < n; ++b)
         m.place(bodyArena_ + b * 128, 128,
-                m.topology().nodeOfProcess(bodyOwner_[b]));
+                m.topology().nodeOfProcess(body_owner[b]));
 
     cellArena_ = m.alloc(cells.size() * 128);
     if (cfg_.variant == BarnesVariant::Spatial) {
@@ -186,11 +221,9 @@ BarnesApp::program()
     const BarrierId bar = bar_;
     const LockId merge_lock = mergeLock_;
     auto merge_rank = mergeRank_;
-    const auto* tree = tree_.get();
+    const std::shared_ptr<const BarnesInput> in = in_;
     const auto* my_bodies = &myBodies_;
-    const auto* visits = &visits_;
     const auto* cell_owner = &cellOwner_;
-    const auto* cell_depth = &cellDepth_;
     const auto* local_cells = &localCells_;
     const auto* build_owner = &buildOwner_;
     const auto* build_bodies = &buildBodies_;
@@ -201,6 +234,9 @@ BarnesApp::program()
         const int P = cpu.nprocs();
         const int p = cpu.id();
         const auto& mine = (*my_bodies)[p];
+        const kn::Octree* tree = &in->tree;
+        const auto* visits = &in->visits;
+        const auto* cell_depth = &in->cellDepth;
         auto body_line = [bodyA](std::uint64_t b) {
             return bodyA + b * 128;
         };

@@ -31,6 +31,10 @@ namespace ccnuma::apps {
 
 enum class BarnesVariant { Original, MergeTree, Spatial };
 
+/// P-independent host input, shared by all three variants (see
+/// barnes_app.cc and apps::sharedInput).
+struct BarnesInput;
+
 struct BarnesConfig {
     std::uint64_t numBodies = 16384;
     BarnesVariant variant = BarnesVariant::Original;
@@ -51,13 +55,9 @@ class BarnesApp : public App
   private:
     BarnesConfig cfg_;
     int nprocs_ = 0;
-    std::unique_ptr<kernels::Octree> tree_;
-    std::vector<kernels::Body> bodies_;
-    std::vector<int> bodyOwner_;          ///< body -> proc.
+    std::shared_ptr<const BarnesInput> in_;
     std::vector<std::vector<int>> myBodies_; ///< proc -> bodies.
-    std::vector<std::vector<std::uint32_t>> visits_; ///< body -> cells.
     std::vector<int> cellOwner_;          ///< cell -> proc (by space).
-    std::vector<std::uint8_t> cellDepth_; ///< cell -> tree depth.
     std::vector<std::uint32_t> localCells_; ///< proc -> private cells.
     std::vector<int> buildOwner_;  ///< Spatial: cell -> subtree owner.
     std::vector<std::uint64_t> buildBodies_; ///< Spatial: proc -> bodies.

@@ -1,5 +1,8 @@
 #include "apps/raytrace_app.hh"
 
+#include <string>
+
+#include "apps/input_cache.hh"
 #include "kernels/render.hh"
 
 namespace ccnuma::apps {
@@ -14,8 +17,15 @@ RaytraceApp::setup(Machine& m)
     // accelerator keeps per-ray cost roughly size-independent on the
     // real code); the *dataset footprint* -- the diffuse, read-shared
     // working set -- scales with the problem size.
-    const auto scene = kernels::randomScene(64, cfg_.seed);
-    work_ = kernels::traceImage(scene, cfg_.imageSide, 2, nullptr);
+    const int side = cfg_.imageSide;
+    const std::uint64_t seed = cfg_.seed;
+    work_ = sharedInput<std::vector<std::uint32_t>>(
+        "raytrace-work,side=" + std::to_string(side) +
+            ",seed=" + std::to_string(seed),
+        [side, seed] {
+            const auto scene = kernels::randomScene(64, seed);
+            return kernels::traceImage(scene, side, 2, nullptr);
+        });
 
     const int scale = cfg_.imageSide / 128 > 0 ? cfg_.imageSide / 128 : 1;
     sceneLines_ = 64ull * 1024 * scale * scale; // ~8 MB at 128^2
@@ -58,7 +68,7 @@ RaytraceApp::program()
     const BarrierId bar = bar_;
     const LockId stats_lock = statsLock_;
     TaskQueues* queues = queues_.get();
-    const auto* work = &work_;
+    const std::shared_ptr<const std::vector<std::uint32_t>> work = work_;
 
     return [=](Cpu& cpu) -> Task {
         const int side = cfg.imageSide;

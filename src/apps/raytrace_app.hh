@@ -39,7 +39,8 @@ class RaytraceApp : public App
   private:
     RaytraceConfig cfg_;
     int nprocs_ = 0;
-    std::vector<std::uint32_t> work_; ///< Per-pixel test counts.
+    /// Per-pixel test counts (shared input).
+    std::shared_ptr<const std::vector<std::uint32_t>> work_;
     std::unique_ptr<TaskQueues> queues_;
     sim::Addr scene_ = 0, image_ = 0, stats_ = 0;
     std::uint64_t sceneLines_ = 0;

@@ -1,7 +1,9 @@
 #include "apps/shearwarp_app.hh"
 
 #include <cmath>
+#include <string>
 
+#include "apps/input_cache.hh"
 #include "kernels/nbody.hh" // costzoneSplit
 #include "kernels/render.hh"
 
@@ -16,10 +18,15 @@ ShearWarpApp::setup(Machine& m)
     const int dim = cfg_.volDim;
 
     // Host: real compositing work profile (early termination skew).
-    const kernels::Volume vol(dim);
-    std::vector<std::uint32_t> wps;
-    kernels::shearWarpComposite(vol, 0.3, 0.15, wps);
-    work_ = wps;
+    // Depends on dim alone.
+    work_ = sharedInput<std::vector<std::uint32_t>>(
+        "shearwarp-work,dim=" + std::to_string(dim), [dim] {
+            const kernels::Volume vol(dim);
+            std::vector<std::uint32_t> wps;
+            kernels::shearWarpComposite(vol, 0.3, 0.15, wps);
+            return wps;
+        });
+    const std::vector<std::uint32_t>& work = *work_;
 
     // Simulated arenas.
     const std::uint64_t vol_bytes =
@@ -51,7 +58,7 @@ ShearWarpApp::setup(Machine& m)
         cost.reserve(static_cast<std::size_t>(dim) * kSubdiv);
         for (int y = 0; y < dim; ++y)
             for (int s = 0; s < kSubdiv; ++s)
-                cost.push_back((static_cast<double>(work_[y]) +
+                cost.push_back((static_cast<double>(work[y]) +
                                 warp_weight) /
                                kSubdiv);
         chunkStart_ = kernels::costzoneSplit(cost, nprocs_);
@@ -76,7 +83,7 @@ ShearWarpApp::program()
     const Addr volume = volume_, inter = inter_, final_img = final_;
     const BarrierId bar = bar_;
     TaskQueues* queues = queues_.get();
-    const auto* work = &work_;
+    const std::shared_ptr<const std::vector<std::uint32_t>> work = work_;
     const auto* chunk_start = &chunkStart_;
 
     return [=](Cpu& cpu) -> Task {

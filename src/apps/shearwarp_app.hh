@@ -44,7 +44,8 @@ class ShearWarpApp : public App
   private:
     ShearWarpConfig cfg_;
     int nprocs_ = 0;
-    std::vector<std::uint32_t> work_;     ///< Per-scanline voxel work.
+    /// Per-scanline voxel work (shared input).
+    std::shared_ptr<const std::vector<std::uint32_t>> work_;
     std::vector<int> scanOwner_;          ///< Compositor per scanline.
     std::vector<std::size_t> chunkStart_; ///< Restructured partitions.
     std::unique_ptr<TaskQueues> queues_;  ///< Original: chunk tasks.

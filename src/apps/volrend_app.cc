@@ -1,23 +1,25 @@
 #include "apps/volrend_app.hh"
 
 #include <algorithm>
+#include <string>
 
+#include "apps/input_cache.hh"
 #include "kernels/render.hh"
 
 namespace ccnuma::apps {
 
 using namespace sim;
 
-void
-VolrendApp::setup(Machine& m)
-{
-    nprocs_ = m.config().numProcs;
-    const int dim = cfg_.volDim;
+namespace {
 
-    // Host: real volume, per-pixel sample counts with early ray
-    // termination (the load-imbalance profile).
+/// Host: real volume, per-pixel sample counts with early ray
+/// termination (the load-imbalance profile). Depends on dim alone.
+std::vector<std::uint32_t>
+sampleCounts(int dim)
+{
     const kernels::Volume vol(dim);
-    samples_.assign(static_cast<std::size_t>(dim) * dim, 0);
+    std::vector<std::uint32_t> samples(static_cast<std::size_t>(dim) * dim,
+                                       0);
     for (int y = 0; y < dim; ++y)
         for (int x = 0; x < dim; ++x) {
             float opacity = 0.0f;
@@ -31,8 +33,23 @@ VolrendApp::setup(Machine& m)
                 if (opacity > 0.95f)
                     break;
             }
-            samples_[static_cast<std::size_t>(y) * dim + x] = cnt;
+            samples[static_cast<std::size_t>(y) * dim + x] = cnt;
         }
+    return samples;
+}
+
+} // namespace
+
+void
+VolrendApp::setup(Machine& m)
+{
+    nprocs_ = m.config().numProcs;
+    const int dim = cfg_.volDim;
+
+    samples_ = sharedInput<std::vector<std::uint32_t>>(
+        "volrend-samples,dim=" + std::to_string(dim),
+        [dim] { return sampleCounts(dim); });
+    const std::vector<std::uint32_t>& samples = *samples_;
 
     // Simulated volume: one byte per voxel, z-major slabs distributed
     // across processors.
@@ -60,8 +77,8 @@ VolrendApp::setup(Machine& m)
             const int bx = t % bps, by = t / bps;
             for (int y = by * kBlock; y < (by + 1) * kBlock; ++y)
                 for (int x = bx * kBlock; x < (bx + 1) * kBlock; ++x)
-                    cost += samples_[static_cast<std::size_t>(y) * dim +
-                                     x];
+                    cost += samples[static_cast<std::size_t>(y) * dim +
+                                    x];
             blocks.emplace_back(cost, t);
         }
         std::sort(blocks.rbegin(), blocks.rend());
@@ -82,7 +99,8 @@ VolrendApp::program()
     const Addr volume = volume_, image = image_;
     const BarrierId bar = bar_;
     TaskQueues* queues = queues_.get();
-    const auto* samples = &samples_;
+    const std::shared_ptr<const std::vector<std::uint32_t>> samples =
+        samples_;
 
     return [=](Cpu& cpu) -> Task {
         const int dim = cfg.volDim;

@@ -42,7 +42,8 @@ class VolrendApp : public App
   private:
     VolrendConfig cfg_;
     int nprocs_ = 0;
-    std::vector<std::uint32_t> samples_; ///< Per-pixel sample counts.
+    /// Per-pixel sample counts (shared input).
+    std::shared_ptr<const std::vector<std::uint32_t>> samples_;
     std::unique_ptr<TaskQueues> queues_;
     sim::Addr volume_ = 0, image_ = 0;
     sim::BarrierId bar_;

@@ -1,74 +1,21 @@
 /**
  * @file
  * Thread-safe, single-flight memoization of uniprocessor baseline
- * times. Replaces the raw `std::map<std::string, Cycles>*` out-param
- * that measure() used to take: callers share one cache object and the
- * cache itself guarantees that each key's baseline is simulated exactly
- * once, even when many study workers request it concurrently.
+ * times. Callers share one cache object and the cache itself
+ * guarantees that each key's baseline is simulated exactly once, even
+ * when many study workers request it concurrently; a key left empty
+ * is never cached (see apps::SingleFlight).
  */
 
 #ifndef CCNUMA_CORE_SEQ_CACHE_HH
 #define CCNUMA_CORE_SEQ_CACHE_HH
 
-#include <condition_variable>
-#include <functional>
-#include <map>
-#include <mutex>
-#include <optional>
-#include <string>
-
+#include "apps/single_flight.hh"
 #include "sim/types.hh"
 
 namespace ccnuma::core {
 
-/**
- * Memoizes `Cycles` values by string key with single-flight semantics:
- * when two threads ask for the same missing key, one runs `compute`
- * and the other blocks until the value is ready — the computation is
- * never duplicated. If the leader's compute throws, one waiter is
- * promoted to leader and retries; the exception propagates only to the
- * thread whose compute raised it.
- *
- * All methods are safe to call from any thread.
- */
-class SeqBaselineCache
-{
-  public:
-    using Compute = std::function<sim::Cycles()>;
-
-    /**
-     * Return the cached value for `key`, computing (and caching) it via
-     * `compute` on a miss. An empty key disables caching: `compute` is
-     * invoked unconditionally and nothing is stored.
-     */
-    sim::Cycles getOrCompute(const std::string& key,
-                             const Compute& compute);
-
-    /// Non-blocking lookup; nullopt if absent or still in flight.
-    std::optional<sim::Cycles> lookup(const std::string& key) const;
-
-    /// Pre-seed a value (e.g. from a previous study's JSON).
-    void insert(const std::string& key, sim::Cycles value);
-
-    /// Number of completed (ready) entries.
-    std::size_t size() const;
-
-    /// How many getOrCompute calls were answered from the cache or by
-    /// waiting on an in-flight computation (i.e. baselines not re-run).
-    std::uint64_t hits() const;
-
-  private:
-    struct Slot {
-        sim::Cycles value = 0;
-        bool ready = false;
-        bool inFlight = false;
-    };
-
-    mutable std::mutex mu_;
-    std::condition_variable cv_;
-    std::map<std::string, Slot> slots_;
-    std::uint64_t hits_ = 0;
-};
+using SeqBaselineCache = apps::SingleFlight<sim::Cycles>;
 
 } // namespace ccnuma::core
 

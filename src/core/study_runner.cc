@@ -8,6 +8,7 @@
 #include <unordered_map>
 #include <utility>
 
+#include "apps/input_cache.hh"
 #include "core/metrics.hh"
 
 namespace ccnuma::core {
@@ -85,6 +86,8 @@ StudyResult::emit(MetricsSink& sink) const
     sink.addScalar("_study", "runs", static_cast<double>(runs.size()));
     sink.addScalar("_study", "failures",
                    static_cast<double>(failures()));
+    sink.addCount("_study", "inputsBuilt", inputsBuilt);
+    sink.addCount("_study", "inputsReused", inputsReused);
 }
 
 StudyRunner::StudyRunner(StudyOptions opt) : opt_(opt) {}
@@ -151,6 +154,7 @@ StudyRunner::run(const StudyPlan& plan)
     std::atomic<std::size_t> next{0};
     std::atomic<std::size_t> done{0};
     std::mutex progress_mu;
+    apps::InputCache inputs;
 
     // prev[i] is the nearest earlier spec sharing spec i's seqKey (or
     // npos). Spec i resolves its baseline only after that spec has, so
@@ -198,6 +202,7 @@ StudyRunner::run(const StudyPlan& plan)
     };
 
     const auto worker = [&] {
+        const apps::InputCache::Scope scope(&inputs);
         for (;;) {
             const std::size_t i =
                 next.fetch_add(1, std::memory_order_relaxed);
@@ -260,6 +265,8 @@ StudyRunner::run(const StudyPlan& plan)
     }
 
     result.wallSeconds = secondsSince(study_t0);
+    result.inputsBuilt = inputs.computed();
+    result.inputsReused = inputs.hits();
     return result;
 }
 

@@ -20,6 +20,11 @@
  *    waits for that one and reads the cache. A key the cache already
  *    holds (from an earlier run() or insert()) is read as is. If the
  *    owner's baseline throws, the next spec in plan order runs its own.
+ *  - Shared inputs: each run() owns one apps::InputCache, installed
+ *    on every worker, so an app's P-independent host input (built via
+ *    apps::sharedInput) is built once per plan and read by every spec
+ *    and baseline that names it. It dies with the call, so each plan
+ *    is a one-off study, as with baselines of a fresh runner.
  *  - Exception isolation: a throwing run fails only its own cell; the
  *    rest of the study completes.
  *  - Progress + timing: optional per-run progress lines on stderr, and
@@ -31,6 +36,7 @@
 
 #include <condition_variable>
 #include <cstddef>
+#include <cstdint>
 #include <deque>
 #include <future>
 #include <mutex>
@@ -112,12 +118,15 @@ struct StudyResult {
     std::vector<RunOutcome> runs;
     double wallSeconds = 0;  ///< Host wall-clock of the whole study.
     int jobs = 1;            ///< Worker threads actually used.
+    std::uint64_t inputsBuilt = 0;  ///< App inputs built (InputCache).
+    std::uint64_t inputsReused = 0; ///< App inputs shared, not rebuilt.
 
     std::size_t failures() const;
     const RunOutcome* find(const std::string& name) const;
     /// Emit the full grid into `sink`: per-run breakdown/totals plus
     /// speedup/efficiency scalars, and a "_study" entry with the
-    /// engine's own wall-clock and job count.
+    /// engine's own wall-clock, job count, run and failure counts and
+    /// input-cache counts.
     void emit(MetricsSink& sink) const;
 };
 

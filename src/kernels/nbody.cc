@@ -247,4 +247,17 @@ costzoneSplit(const std::vector<double>& cost_in_order, int parts)
     return starts;
 }
 
+int
+costzoneOwner(const std::vector<std::size_t>& starts, std::size_t rank)
+{
+    // The last chunk starting at or before `rank`; equal starts mean
+    // empty chunks, and upper_bound steps past them to the one that
+    // is not.
+    const int parts = static_cast<int>(starts.size()) - 1;
+    const int p = static_cast<int>(
+        std::upper_bound(starts.begin(), starts.end(), rank) -
+        starts.begin()) - 1;
+    return std::clamp(p, 0, parts - 1);
+}
+
 } // namespace ccnuma::kernels

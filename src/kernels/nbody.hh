@@ -105,6 +105,12 @@ std::vector<int> mortonOrder(const std::vector<Body>& bodies,
 std::vector<std::size_t>
 costzoneSplit(const std::vector<double>& cost_in_order, int parts);
 
+/// The part of a costzoneSplit() whose chunk holds position `rank`;
+/// ranks at or past the last chunk's end belong to the last part.
+/// Empty chunks own nothing. O(log parts).
+int costzoneOwner(const std::vector<std::size_t>& starts,
+                  std::size_t rank);
+
 } // namespace ccnuma::kernels
 
 #endif // CCNUMA_KERNELS_NBODY_HH

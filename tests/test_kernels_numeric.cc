@@ -161,6 +161,49 @@ TEST(NBody, CostzoneSplitBalancesCost)
     }
 }
 
+TEST(NBody, CostzoneOwnerMatchesLinearScan)
+{
+    // Reference: scan every part for the last one whose chunk holds
+    // `rank`, the final chunk also owning rank == end.
+    const auto scan = [](const std::vector<std::size_t>& starts,
+                         std::size_t rank) {
+        const int parts = static_cast<int>(starts.size()) - 1;
+        int ow = 0;
+        for (int p = 0; p < parts; ++p)
+            if (rank >= starts[p] &&
+                rank < starts[p + 1] + (p == parts - 1 ? 1 : 0))
+                ow = p;
+        return ow;
+    };
+    std::uint64_t h = 12345;
+    const auto next = [&h] {
+        h = h * 6364136223846793005ull + 1442695040888963407ull;
+        return h >> 33;
+    };
+    int empty_parts = 0;
+    for (const int parts : {1, 3, 32, 256}) {
+        for (const std::size_t n : {std::size_t{0}, std::size_t{1},
+                                    std::size_t{7}, std::size_t{100},
+                                    std::size_t{2048}}) {
+            // Mostly small costs with rare huge spikes, and zeros: a
+            // spike swallows several parts' shares, leaving them
+            // empty.
+            std::vector<double> cost(n);
+            for (double& c : cost) {
+                const std::uint64_t r = next() % 100;
+                c = r < 10 ? 0.0 : r < 97 ? 1.0 + r % 7 : 5000.0;
+            }
+            const auto starts = costzoneSplit(cost, parts);
+            for (int p = 0; p < parts; ++p)
+                empty_parts += starts[p] == starts[p + 1];
+            for (std::size_t rank = 0; rank <= n; ++rank)
+                ASSERT_EQ(costzoneOwner(starts, rank), scan(starts, rank))
+                    << "P=" << parts << " n=" << n << " rank=" << rank;
+        }
+    }
+    EXPECT_GT(empty_parts, 0) << "empty partitions were exercised";
+}
+
 // ---------------- water ----------------
 
 TEST(Water, SpatialMatchesNsquaredEnergy)

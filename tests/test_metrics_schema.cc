@@ -3,8 +3,8 @@
  * JSON-validity and schema tests for the metrics the simulator emits:
  * the strict check::json parser itself (duplicate keys, NaN/Infinity,
  * trailing garbage, exact uint64 round-trips), and every MetricsSink
- * document — including ones fed non-finite scalars and repeated keys,
- * which must still come out as valid JSON.
+ * document — including a StudyResult's, and ones fed non-finite
+ * scalars and repeated keys, which must still come out as valid JSON.
  */
 
 #include <gtest/gtest.h>
@@ -14,10 +14,13 @@
 #include <fstream>
 #include <limits>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 
+#include "apps/registry.hh"
 #include "check/json.hh"
 #include "core/metrics.hh"
+#include "core/study_runner.hh"
 #include "sim/machine.hh"
 
 using namespace ccnuma;
@@ -150,6 +153,44 @@ TEST(MetricsSchema, SinkOutputIsValidAndComplete)
                        breakdown->find("mem")->asDouble() +
                        breakdown->find("sync")->asDouble();
     EXPECT_NEAR(sum, 1.0, 1e-9);
+    std::remove(path.c_str());
+}
+
+TEST(MetricsSchema, StudyEntryCountsRunsFailuresAndInputs)
+{
+    // Two volrend cells (each with its own baseline, so four setups
+    // reading one shared input) and one cell whose factory throws.
+    core::StudyPlan plan;
+    for (const int procs : {2, 4})
+        plan.add("volrend P=" + std::to_string(procs),
+                 sim::MachineConfig::origin2000(procs),
+                 [] { return apps::makeApp("volrend", 32); });
+    plan.add("broken", sim::MachineConfig::origin2000(2),
+             []() -> apps::AppPtr { throw std::runtime_error("no"); });
+    core::StudyRunner runner({.jobs = 2});
+    const core::StudyResult res = runner.run(plan);
+
+    const std::string path = tempPath("metrics_study.json");
+    core::MetricsSink sink(path);
+    res.emit(sink);
+    ASSERT_TRUE(sink.write());
+    const auto doc = check::json::parseFile(path);
+    ASSERT_TRUE(doc.ok) << doc.error;
+    const Value* study = nullptr;
+    for (const Value& r : doc.root.find("runs")->arr)
+        if (r.find("label")->str == "_study")
+            study = &r;
+    ASSERT_NE(study, nullptr);
+    for (const char* key : {"wallSeconds", "jobs", "runs", "failures",
+                            "inputsBuilt", "inputsReused"}) {
+        ASSERT_NE(study->find(key), nullptr) << key;
+        EXPECT_TRUE(study->find(key)->isNumber()) << key;
+    }
+    EXPECT_EQ(study->find("jobs")->asU64(), 2u);
+    EXPECT_EQ(study->find("runs")->asU64(), 3u);
+    EXPECT_EQ(study->find("failures")->asU64(), 1u);
+    EXPECT_EQ(study->find("inputsBuilt")->asU64(), 1u);
+    EXPECT_EQ(study->find("inputsReused")->asU64(), 3u);
     std::remove(path.c_str());
 }
 
