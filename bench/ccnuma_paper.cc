@@ -1,15 +1,16 @@
 /**
  * @file
- * ccnuma_paper [--jobs=N] [--json=FILE] [--seed=N] [ID...]: regenerates
- * the paper's tables and figures (all of kArtifacts when no ID is given)
- * next to the paper-reported series. Absolute values are not expected
- * to match the 1999 hardware, but the shapes should.
+ * ccnuma_paper [flags] [ID...]: regenerates the paper's tables and
+ * figures (all of kArtifacts when no ID is given) next to the
+ * paper-reported series; `--help` lists the flags and ids. Absolute
+ * values are not expected to match the 1999 hardware, but the shapes
+ * should.
  *
  * Each artifact's plan function adds its application runs to one shared
  * core::StudyPlan, which one StudyRunner runs on --jobs workers (0 = one
  * per host core); render functions then print every artifact from the
  * StudyResult in kArtifacts order. Stdout depends only on the ids,
- * CCNUMA_QUICK=1 (trimmed sweeps) and --seed (random topology mappings);
+ * --quick (trimmed sweeps) and --seed (random topology mappings);
  * progress and host timing go to stderr. Microbenchmarks on hand-written
  * programs take milliseconds and run at render time. --json=FILE dumps
  * every application run. Exits 1 if a run failed (its artifact prints
@@ -19,7 +20,6 @@
 #include <cassert>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <iterator>
 #include <optional>
 #include <string>
@@ -37,13 +37,8 @@ using namespace ccnuma::sim;
 
 namespace {
 
-/// "quick" mode trims sweeps (env CCNUMA_QUICK=1).
-bool
-quickMode()
-{
-    const char* q = std::getenv("CCNUMA_QUICK");
-    return q && *q == '1';
-}
+/// --quick trims the machine-size sweeps; set before planning.
+bool quick = false;
 
 /** One application run of the plan. */
 struct Run {
@@ -222,15 +217,18 @@ renderTable2(Cells& c)
                 "steps/frames/passes this skeleton simulates)\n");
 }
 
-const std::vector<int> kFig2Procs = quickMode()
-                                       ? std::vector<int>{32, 128}
-                                       : std::vector<int>{32, 64, 96, 128};
+std::vector<int>
+fig2Procs()
+{
+    return quick ? std::vector<int>{32, 128}
+                 : std::vector<int>{32, 64, 96, 128};
+}
 
 void
 planFig2(Planner& p)
 {
     for (const auto& name : apps::originalApps())
-        for (const int P : kFig2Procs)
+        for (const int P : fig2Procs())
             p.speedup("", {.app = name, .procs = P});
 }
 
@@ -239,14 +237,14 @@ renderFig2(Cells& c)
 {
     core::printHeader("Figure 2: speedups at basic problem sizes");
     std::printf("%-16s", "application");
-    for (const int P : kFig2Procs)
+    for (const int P : fig2Procs())
         std::printf("   P=%-4d", P);
     std::printf("   eff@128\n");
 
     for (const auto& name : apps::originalApps()) {
         std::printf("%-16s", name.c_str());
         double eff_last = 0;
-        for (std::size_t i = 0; i < kFig2Procs.size(); ++i) {
+        for (std::size_t i = 0; i < fig2Procs().size(); ++i) {
             const core::Measurement& m = c.next();
             std::printf(" %8.1f", m.speedup());
             eff_last = m.efficiency();
@@ -298,15 +296,18 @@ const std::vector<Sweep> kSweeps = {
     {"protein", {8, 16, 32}, 0},
 };
 
-const std::vector<int> kFig4Procs =
-    quickMode() ? std::vector<int>{128} : std::vector<int>{32, 64, 128};
+std::vector<int>
+fig4Procs()
+{
+    return quick ? std::vector<int>{128} : std::vector<int>{32, 64, 128};
+}
 
 void
 planFig4(Planner& p)
 {
     for (const Sweep& sw : kSweeps)
         for (const std::uint64_t size : sw.sizes)
-            for (const int P : kFig4Procs)
+            for (const int P : fig4Procs())
                 p.speedup("", {.app = sw.app, .size = size, .procs = P,
                                .cacheBytes = sw.cacheBytes});
 }
@@ -330,7 +331,7 @@ renderFig4(Cells& c)
     core::printHeader("Figure 4: parallel efficiency vs problem size");
     for (const Sweep& sw : kSweeps) {
         std::vector<core::Series> series;
-        for (const int P : kFig4Procs)
+        for (const int P : fig4Procs())
             series.push_back({"P=" + std::to_string(P), {}, {}});
         readEfficiencies(c, sw.sizes, series);
         std::printf("\n-- %s (size unit: %s)%s --\n", sw.app,
@@ -399,8 +400,11 @@ const std::vector<Pair> kPairs = {
     {"infer", "infer-static", {422}, 0},
 };
 
-const std::vector<int> kFig9Procs =
-    quickMode() ? std::vector<int>{128} : std::vector<int>{32, 128};
+std::vector<int>
+fig9Procs()
+{
+    return quick ? std::vector<int>{128} : std::vector<int>{32, 128};
+}
 
 void
 planFig9(Planner& p)
@@ -408,7 +412,7 @@ planFig9(Planner& p)
     // Shared sequential baseline: the original program.
     for (const Pair& pr : kPairs)
         for (const std::uint64_t size : pr.sizes)
-            for (const int P : kFig9Procs)
+            for (const int P : fig9Procs())
                 for (const char* app : {pr.orig, pr.restr})
                     p.speedup("", {.app = app, .size = size, .procs = P,
                                    .cacheBytes = pr.cacheBytes,
@@ -422,7 +426,7 @@ renderFig9(Cells& c)
         "Figure 9: original vs restructured, efficiency at 128 procs");
     for (const Pair& pr : kPairs) {
         std::vector<core::Series> series;
-        for (const int P : kFig9Procs) {
+        for (const int P : fig9Procs()) {
             series.push_back({"orig P=" + std::to_string(P), {}, {}});
             series.push_back({"restr P=" + std::to_string(P), {}, {}});
         }
@@ -536,14 +540,17 @@ const PrefetchCase kPrefetchCases[] = {
     {"radix", "radix-prefetch", 1u << 22},
 };
 
-const std::vector<int> kSec61Procs =
-    quickMode() ? std::vector<int>{128} : std::vector<int>{32, 64, 128};
+std::vector<int>
+sec61Procs()
+{
+    return quick ? std::vector<int>{128} : std::vector<int>{32, 64, 128};
+}
 
 void
 planSec61(Planner& p)
 {
     for (const PrefetchCase& c : kPrefetchCases)
-        for (const int P : kSec61Procs)
+        for (const int P : sec61Procs())
             for (const char* app : {c.base, c.pf})
                 p.speedup("", {.app = app, .size = c.size, .procs = P,
                                .seqApp = c.base});
@@ -562,13 +569,13 @@ renderSec61(Cells& c)
 {
     core::printHeader("Section 6.1: software prefetch of remote data");
     std::printf("%-14s %12s", "app", "size");
-    for (const int P : kSec61Procs)
+    for (const int P : sec61Procs())
         std::printf("    P=%-3d gain", P);
     std::printf("\n");
     for (const PrefetchCase& pc : kPrefetchCases) {
         std::printf("%-14s %12llu", pc.base,
                     static_cast<unsigned long long>(pc.size));
-        for (std::size_t i = 0; i < kSec61Procs.size(); ++i) {
+        for (std::size_t i = 0; i < sec61Procs().size(); ++i) {
             const core::Measurement& base = c.next();
             std::printf("    %+8.1f%%", gainPercent(base, c.next()));
         }
@@ -967,60 +974,52 @@ const Artifact kArtifacts[] = {
 };
 constexpr std::size_t kNumArtifacts = std::size(kArtifacts);
 
-/// Parse the command line into a selection over kArtifacts; false
-/// (after printing why, and the valid ids) on anything it cannot use.
-bool
-selectArtifacts(core::cli::Options& opt, std::vector<bool>& selected)
-{
-    bool ok = core::cli::warnUnknown(opt);
-    if (!opt.traceFile.empty() || opt.epochCycles ||
-        !opt.protocol.empty() || !opt.dirFormat.empty()) {
-        std::fprintf(stderr, "only --jobs, --json and --seed apply\n");
-        ok = false;
-    }
-    selected.assign(kNumArtifacts, opt.positional.empty());
-    for (const std::string& id : opt.positional) {
-        std::size_t i = 0;
-        while (i < kNumArtifacts && id != kArtifacts[i].id)
-            ++i;
-        if (i == kNumArtifacts) {
-            std::fprintf(stderr, "unknown id '%s'\n", id.c_str());
-            ok = false;
-        } else {
-            selected[i] = true;
-        }
-    }
-    if (!ok) {
-        std::fprintf(stderr, "usage: ccnuma_paper [--jobs=N] "
-                             "[--json=FILE] [--seed=N] [ID...]\nids:\n");
-        for (const Artifact& a : kArtifacts)
-            std::fprintf(stderr, "  %s\n", a.id);
-    }
-    return ok;
-}
-
 } // namespace
 
 int
 main(int argc, char** argv)
 {
-    core::cli::Options opt = core::cli::parse(argc, argv);
-    std::vector<bool> selected;
-    if (!selectArtifacts(opt, selected))
-        return 2;
+    int jobs = 1;
+    std::string jsonFile;
+    std::uint64_t seed = 1;
+    std::vector<std::string> ids;
+    std::string footer = "ids:\n";
+    for (const Artifact& a : kArtifacts)
+        footer += std::string("  ") + a.id + "\n";
+    const core::cli::Command cmd{
+        "ccnuma_paper",
+        "regenerate the paper's tables and figures next to the "
+        "paper-reported series",
+        {{"ID", &ids, "artifacts to run (default: all)"}},
+        {{"jobs=N", &jobs, "StudyRunner workers; 0 = one per host core"},
+         {"json=FILE", &jsonFile, "dump every application run as JSON"},
+         {"seed=N", &seed, "permutation of the random topology mappings"},
+         {"quick", &quick, "trimmed machine-size sweeps"}},
+        footer};
+    if (const auto rc = core::cli::parse(cmd, argc, argv))
+        return *rc;
+    std::vector<bool> selected(kNumArtifacts, ids.empty());
+    for (const std::string& id : ids) {
+        std::size_t i = 0;
+        while (i < kNumArtifacts && id != kArtifacts[i].id)
+            ++i;
+        if (i == kNumArtifacts)
+            return core::cli::usageError(cmd, "unknown id '" + id + "'");
+        selected[i] = true;
+    }
 
     core::StudyPlan plan;
     std::vector<std::size_t> first(kNumArtifacts + 1, 0);
     for (std::size_t i = 0; i < kNumArtifacts; ++i) {
         first[i] = plan.size();
         if (selected[i] && kArtifacts[i].plan) {
-            Planner p{plan, kArtifacts[i].id, opt.seed};
+            Planner p{plan, kArtifacts[i].id, seed};
             kArtifacts[i].plan(p);
         }
     }
     first[kNumArtifacts] = plan.size();
 
-    core::StudyRunner runner({.jobs = opt.jobs, .progress = true});
+    core::StudyRunner runner({.jobs = jobs, .progress = true});
     const core::StudyResult res = runner.run(plan);
     std::fprintf(stderr, "%zu runs in %.1fs host wall-clock with %d jobs\n",
                  res.runs.size(), res.wallSeconds, res.jobs);
@@ -1036,10 +1035,10 @@ main(int argc, char** argv)
                         r->error.c_str());
     }
 
-    core::MetricsSink sink(opt.jsonFile);
+    core::MetricsSink sink(jsonFile);
     res.emit(sink); // no-op without --json
     if (!sink.write()) {
-        std::fprintf(stderr, "failed to write %s\n", opt.jsonFile.c_str());
+        std::fprintf(stderr, "failed to write %s\n", jsonFile.c_str());
         return 1;
     }
     return res.failures() ? 1 : 0;

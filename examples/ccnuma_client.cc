@@ -5,18 +5,8 @@
  *
  *   ccnuma_client [--host=A] [--port=N] [--unix=PATH] <actions...>
  *
- * Actions (any mix; executed in order on one connection):
- *   --ping                 liveness probe
- *   --study=APP            run APP; combine with --size=N and
- *                          --procs=1,2,4 (defaults: basic size, 4)
- *   --trace-file=PATH      upload a ccnuma-trace v1 file and run it
- *   --obs                  request hot-line artifacts (study/trace)
- *   --no-baseline          study without the uniprocessor baseline
- *   --raw=JSON             send a raw request line verbatim
- *   --shutdown             ask the server to drain and exit
- *
- * Exit status: 0 iff every response came back ok:true.
- * See serve/wire.hh for the protocol.
+ * `--help` lists the actions and the order they are sent in. See
+ * serve/wire.hh for the protocol.
  */
 
 #include <cstdio>
@@ -34,85 +24,86 @@ main(int argc, char** argv)
 {
     using namespace ccnuma;
 
-    core::cli::Options opt = core::cli::parse(argc, argv);
-
     std::string host = "127.0.0.1";
     std::string unixPath;
-    std::uint64_t port = 0;
-    std::string value;
-    if (opt.takeFlag("host", value))
-        host = value;
-    if (opt.takeFlag("unix", value))
-        unixPath = value;
-    if (opt.takeFlag("port", value) &&
-        !core::cli::parseU64(value, port)) {
-        std::fprintf(stderr, "ccnuma_client: bad --port '%s'\n",
-                     value.c_str());
-        return 2;
-    }
+    int port = 0;
+    bool ping = false;
+    std::vector<std::string> studies;
+    std::uint64_t size = 0;
+    std::vector<int> procs = {4};
+    std::vector<std::string> traceFiles;
+    bool obs = false;
+    bool noBaseline = false;
+    std::vector<std::string> raws;
+    bool shutdown = false;
+    const core::cli::Command cmd{
+        "ccnuma_client",
+        "send schema-v1 requests to ccnuma_serve and print each response",
+        {},
+        {{"host=A", &host, "server address (default 127.0.0.1)"},
+         {"port=N", &port, "server TCP port"},
+         {"unix=PATH", &unixPath, "connect to a Unix socket instead"},
+         {"ping", &ping, "liveness probe"},
+         {"study=APP", &studies, "run APP (repeatable)"},
+         {"size=N", &size, "study problem size; 0 = basic size"},
+         {"procs=P1,P2,..", &procs, "study machine sizes (default 4)"},
+         {"trace-file=PATH", &traceFiles,
+          "upload a ccnuma-trace v1 file and run it (repeatable)"},
+         {"obs", &obs, "request hot-line artifacts (study/trace)"},
+         {"no-baseline", &noBaseline,
+          "study without the uniprocessor baseline"},
+         {"raw=JSON", &raws, "send a raw request line verbatim (repeatable)"},
+         {"shutdown", &shutdown, "ask the server to drain and exit"}},
+        "Requests go out on one connection in this order, whatever the "
+        "flag order:\nping, studies, trace files, raw lines, shutdown. "
+        "Exit status: 0 iff every\nresponse came back ok:true.\n"};
+    if (const auto rc = core::cli::parse(cmd, argc, argv))
+        return *rc;
 
-    // Options shared by the study/trace request builders.
-    std::string size = "0";
-    std::string procs = "4";
-    if (opt.takeFlag("size", value))
-        size = value;
-    if (opt.takeFlag("procs", value))
-        procs = value;
-    const bool obs = opt.takeSwitch("obs");
-    const bool noBaseline = opt.takeSwitch("no-baseline");
-
-    // Assemble request lines in flag order.
     std::vector<std::string> requests;
     int id = 0;
-    const auto nextId = [&] { return std::to_string(++id); };
-    while (opt.takeSwitch("ping"))
-        requests.push_back("{\"id\":\"" + nextId() +
-                           "\",\"type\":\"ping\"}");
-    while (opt.takeFlag("study", value)) {
-        std::string req = "{\"id\":\"" + nextId() +
-                          "\",\"type\":\"study\",\"app\":\"" +
-                          obs::JsonWriter::escape(value) +
-                          "\",\"size\":" + size + ",\"procs\":[" + procs +
-                          "]";
+    const auto header = [&id](const char* type) {
+        return "{\"id\":\"" + std::to_string(++id) + "\",\"type\":\"" +
+               type + "\"";
+    };
+    const std::string extras = obs ? ",\"obs\":true" : "";
+    if (ping)
+        requests.push_back(header("ping") + "}");
+    for (const std::string& app : studies) {
+        std::string req = header("study") + ",\"app\":\"" +
+                          obs::JsonWriter::escape(app) +
+                          "\",\"size\":" + std::to_string(size) +
+                          ",\"procs\":[";
+        for (std::size_t i = 0; i < procs.size(); ++i)
+            req += (i ? "," : "") + std::to_string(procs[i]);
+        req += "]";
         if (noBaseline)
             req += ",\"baseline\":false";
-        if (obs)
-            req += ",\"obs\":true";
-        requests.push_back(req + "}");
+        requests.push_back(req + extras + "}");
     }
-    while (opt.takeFlag("trace-file", value)) {
-        std::ifstream f(value);
+    for (const std::string& path : traceFiles) {
+        std::ifstream f(path);
         if (!f) {
             std::fprintf(stderr, "ccnuma_client: cannot read %s\n",
-                         value.c_str());
+                         path.c_str());
             return 2;
         }
         std::ostringstream text;
         text << f.rdbuf();
-        std::string req = "{\"id\":\"" + nextId() +
-                          "\",\"type\":\"trace\",\"trace\":\"" +
-                          obs::JsonWriter::escape(text.str()) + "\"";
-        if (obs)
-            req += ",\"obs\":true";
-        requests.push_back(req + "}");
+        requests.push_back(header("trace") + ",\"trace\":\"" +
+                           obs::JsonWriter::escape(text.str()) + "\"" +
+                           extras + "}");
     }
-    while (opt.takeFlag("raw", value))
-        requests.push_back(value);
-    const bool shutdown = opt.takeSwitch("shutdown");
+    requests.insert(requests.end(), raws.begin(), raws.end());
     if (shutdown)
-        requests.push_back("{\"id\":\"" + nextId() +
-                           "\",\"type\":\"shutdown\"}");
-    core::cli::warnUnknown(opt);
-    if (requests.empty()) {
-        std::fprintf(stderr,
-                     "ccnuma_client: nothing to do (try --ping)\n");
-        return 2;
-    }
+        requests.push_back(header("shutdown") + "}");
+    if (requests.empty())
+        return core::cli::usageError(cmd, "nothing to do (try --ping)");
 
     serve::Fd conn;
     try {
         conn = unixPath.empty()
-                   ? serve::connectTcp(host, static_cast<int>(port))
+                   ? serve::connectTcp(host, port)
                    : serve::connectUnix(unixPath);
     } catch (const std::exception& e) {
         std::fprintf(stderr, "ccnuma_client: %s\n", e.what());

@@ -5,8 +5,9 @@
  * change an application's performance? Exercises the simulator's
  * machine-configuration surface end to end.
  *
- * Usage: machine_explorer [app] [size] [procs] [--seed=N]
- *   --seed (or CCNUMA_SEED) controls the random topology-mapping case.
+ * Usage: machine_explorer [flags] [app] [size] [procs]
+ *   --seed controls the random topology-mapping case; `--help` lists
+ *   the flags.
  */
 
 #include <cstdio>
@@ -41,21 +42,28 @@ runCase(const char* label, const sim::MachineConfig& cfg,
 int
 main(int argc, char** argv)
 try {
-    core::cli::Options opt = core::cli::parse(argc, argv);
-    const std::string app = opt.positionalOr(0, "ocean");
-    const std::uint64_t size = opt.positionalOr(1, std::uint64_t{0});
-    const int procs = static_cast<int>(
-        opt.positionalOr(2, std::uint64_t{64}));
+    std::string app = "ocean";
+    std::uint64_t size = 0;
+    int procs = 64;
+    std::uint64_t seed = 1;
+    // --protocol / --dir-format reshape the baseline every variation
+    // below starts from.
+    sim::MachineConfig base; // origin2000(procs) once procs is known
+    const core::cli::Command cmd{
+        "machine_explorer",
+        "how machine parameters change an application's performance",
+        {{"app", &app, "application (default ocean)"},
+         {"size", &size, "problem size; 0 = the app's basic size"},
+         {"procs", &procs, "processors (default 64)"}},
+        {{"seed=N", &seed, "seed of the random topology mapping case"},
+         {"machine", &base, ""}}};
+    if (const auto rc = core::cli::parse(cmd, argc, argv))
+        return *rc;
 
     core::printHeader("machine explorer: " + app + " on " +
                       std::to_string(procs) + " procs");
     core::SeqBaselineCache cache;
-
-    // --protocol / --dir-format reshape the baseline every variation
-    // below starts from.
-    sim::MachineConfig base = sim::MachineConfig::origin2000(procs);
-    core::cli::applyMachine(opt, base);
-    core::cli::warnUnknown(opt);
+    base.numProcs = procs;
     runCase("baseline (manual placement)", base, app, size, cache);
 
     sim::MachineConfig rr = base;
@@ -76,7 +84,7 @@ try {
 
     sim::MachineConfig rnd = base;
     rnd.mapping = sim::Mapping::Random;
-    rnd.mappingSeed = opt.seed;
+    rnd.mappingSeed = seed;
     runCase("random topology mapping", rnd, app, size, cache);
 
     sim::MachineConfig small_cache = base;
@@ -107,10 +115,7 @@ try {
 
     return 0;
 } catch (const std::exception& e) {
+    // An unknown app's message lists the valid names.
     std::fprintf(stderr, "error: %s\n", e.what());
-    std::fprintf(stderr, "known applications: ");
-    for (const auto& n : ccnuma::apps::originalApps())
-        std::fprintf(stderr, "%s ", n.c_str());
-    std::fprintf(stderr, "(+ variants, see README)\n");
     return 1;
 }

@@ -7,10 +7,11 @@
  *   cmake -B build -G Ninja && cmake --build build
  *   ./build/examples/quickstart
  *
- * Observability: pass --trace=fft.trace.json (or set CCNUMA_TRACE) to
- * also write a Chrome-trace JSON (open in chrome://tracing / Perfetto)
- * plus fft.trace.json.metrics.json with epoch time-series, latency
- * histograms and the hot-line sharing report.
+ * Observability: pass --trace=fft.trace.json to also write a
+ * Chrome-trace JSON (open in chrome://tracing / Perfetto) plus
+ * fft.trace.json.metrics.json with epoch time-series, latency
+ * histograms and the hot-line sharing report. `--help` lists the
+ * other flags.
  */
 
 #include <cstdio>
@@ -30,21 +31,26 @@ main(int argc, char** argv)
     // 1. Configure a machine: 64 processors, 2 per node, calibrated to
     //    the SGI Origin2000's latencies (Table 1 of the paper).
     sim::MachineConfig cfg = sim::MachineConfig::origin2000(64);
-    core::cli::Options opt = core::cli::parse(argc, argv);
-    // --protocol / --dir-format (CCNUMA_PROTOCOL / CCNUMA_DIR) swap
-    // the coherence protocol and directory sharer format.
-    core::cli::applyMachine(opt, cfg);
-    core::cli::warnUnknown(opt);
-    cfg.mappingSeed = opt.seed; // --seed / CCNUMA_SEED
-    const std::string trace_file = opt.traceFile;
-    if (!trace_file.empty()) {
-        cfg.trace.events = true;
-        cfg.trace.intervals = true;
-        cfg.trace.sharing = true;
-    }
-    // --epoch-cycles / CCNUMA_EPOCH tunes the epoch-series resolution.
-    if (opt.epochCycles)
-        cfg.trace.epochCycles = opt.epochCycles;
+    std::string trace_file;
+    std::uint64_t seed = 1;
+    std::uint64_t epoch_cycles = 0;
+    const core::cli::Command cmd{
+        "quickstart",
+        "FFT (2^20 points) on a 64-processor Origin2000-class machine",
+        {},
+        {{"trace=FILE", &trace_file,
+          "write a Chrome trace to FILE and metrics to FILE.metrics.json"},
+         {"seed=N", &seed, "topology-mapping seed (default 1)"},
+         {"epoch-cycles=N", &epoch_cycles,
+          "epoch length of the interval metrics; 0 = default"},
+         {"machine", &cfg, ""}}};
+    if (const auto rc = core::cli::parse(cmd, argc, argv))
+        return *rc;
+    cfg.mappingSeed = seed;
+    if (!trace_file.empty())
+        cfg.trace.events = cfg.trace.intervals = cfg.trace.sharing = true;
+    if (epoch_cycles)
+        cfg.trace.epochCycles = epoch_cycles;
 
     // 2. Pick an application at its basic problem size (2^20 points).
     //    makeApp knows every app and variant in the study.

@@ -4,16 +4,16 @@
  * it -- compare an original application against its restructured
  * variant across machine sizes, per Section 5 of the paper.
  *
- * Usage: restructuring_lab [app] [size]
+ * Usage: restructuring_lab [app] [size]   (`--help` for details)
  *   e.g. restructuring_lab barnes
  *        restructuring_lab water-nsq 8192
  */
 
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 
 #include "apps/registry.hh"
+#include "core/cli.hh"
 #include "core/report.hh"
 #include "core/study.hh"
 
@@ -22,9 +22,16 @@ using namespace ccnuma;
 int
 main(int argc, char** argv)
 try {
-    const std::string app = argc > 1 ? argv[1] : "barnes";
-    const std::uint64_t size =
-        argc > 2 ? std::strtoull(argv[2], nullptr, 10) : 0;
+    std::string app = "barnes";
+    std::uint64_t size = 0;
+    const core::cli::Command cmd{
+        "restructuring_lab",
+        "an original application against its restructured variant",
+        {{"app", &app, "application (default barnes)"},
+         {"size", &size, "problem size; 0 = the app's basic size"}},
+        {}};
+    if (const auto rc = core::cli::parse(cmd, argc, argv))
+        return *rc;
     const std::string restr = apps::restructuredVariant(app);
     if (restr.empty()) {
         std::printf("no restructured variant registered for %s\n",
@@ -65,10 +72,7 @@ try {
                 "moderate scale but win at large scale.\n");
     return 0;
 } catch (const std::exception& e) {
+    // An unknown app's message lists the valid names.
     std::fprintf(stderr, "error: %s\n", e.what());
-    std::fprintf(stderr, "known applications: ");
-    for (const auto& n : ccnuma::apps::originalApps())
-        std::fprintf(stderr, "%s ", n.c_str());
-    std::fprintf(stderr, "(+ variants, see README)\n");
     return 1;
 }

@@ -3,23 +3,20 @@
  * Scenario: "will my application scale to 128 processors?" -- the
  * paper's core question, for any application in the registry.
  *
- * Usage: scaling_study [app] [size] [--jobs=N]
- *                      [--trace=FILE] [--json=FILE] [--seed=N]
- *                      [--epoch-cycles=N]
+ * Usage: scaling_study [flags] [app] [size]   (`--help` lists the flags)
  *   e.g. scaling_study barnes 16384
  *        scaling_study water-spatial 32768 --jobs=4
  *
  * The machine-size sweep runs on the parallel StudyRunner: --jobs=N
- * (or CCNUMA_JOBS; 0 = one worker per host core) simulates N grid
- * cells concurrently, with results aggregated in submission order and
- * the shared uniprocessor baseline simulated exactly once.
+ * (0 = one worker per host core) simulates N grid cells concurrently,
+ * with results aggregated in submission order and the shared
+ * uniprocessor baseline simulated exactly once.
  *
- * With --trace=FILE (or CCNUMA_TRACE=FILE) the largest run is traced:
- * FILE gets a Chrome-trace JSON (chrome://tracing / Perfetto) and
- * FILE.metrics.json the epoch time-series, latency histograms and
- * hot-line sharing report. With --json=FILE (or CCNUMA_JSON) the whole
- * grid -- speedups, efficiencies, breakdowns, engine timing -- is
- * dumped via core::MetricsSink.
+ * With --trace=FILE the largest run is traced: FILE gets a
+ * Chrome-trace JSON (chrome://tracing / Perfetto) and FILE.metrics.json
+ * the epoch time-series, latency histograms and hot-line sharing
+ * report. With --json=FILE the whole grid -- speedups, efficiencies,
+ * breakdowns, engine timing -- is dumped via core::MetricsSink.
  */
 
 #include <cstdio>
@@ -38,13 +35,35 @@ using namespace ccnuma;
 int
 main(int argc, char** argv)
 try {
-    core::cli::Options opt = core::cli::parse(argc, argv);
-    // --protocol / --dir-format apply to every machine in the grid.
-    sim::MachineConfig proto = sim::MachineConfig::origin2000(2);
-    core::cli::applyMachine(opt, proto);
-    core::cli::warnUnknown(opt);
-    const std::string app = opt.positionalOr(0, "water-spatial");
-    const std::uint64_t size = opt.positionalOr(1, std::uint64_t{0});
+    std::string app = "water-spatial";
+    std::uint64_t size = 0;
+    int jobs = 1;
+    std::string traceFile;
+    std::string jsonFile;
+    std::uint64_t seed = 1;
+    std::uint64_t epochCycles = 0;
+    // Every machine of the grid is `proto` at its own size.
+    sim::MachineConfig proto;
+    const core::cli::Command cmd{
+        "scaling_study",
+        "will this application scale to 128 processors?",
+        {{"app", &app, "application (default water-spatial)"},
+         {"size", &size, "problem size; 0 = the app's basic size"}},
+        {{"jobs=N", &jobs, "StudyRunner workers; 0 = one per host core"},
+         {"trace=FILE", &traceFile,
+          "trace the largest run: FILE and FILE.metrics.json"},
+         {"json=FILE", &jsonFile, "dump the whole grid as JSON"},
+         {"seed=N", &seed, "topology-mapping seed (default 1)"},
+         {"epoch-cycles=N", &epochCycles,
+          "epoch length of the interval metrics; 0 = default"},
+         {"machine", &proto, ""}}};
+    if (const auto rc = core::cli::parse(cmd, argc, argv))
+        return *rc;
+    // --seed steers every randomized machine policy (only the
+    // topology-mapping permutation today).
+    proto.mappingSeed = seed;
+    if (epochCycles)
+        proto.trace.epochCycles = epochCycles;
 
     core::printHeader("scaling study: " + app);
     std::printf("problem size: %llu %s\n\n",
@@ -55,27 +74,20 @@ try {
     const std::vector<int> sizes = {2, 8, 32, 64, 128};
     core::StudyPlan plan;
     for (const int P : sizes) {
-        sim::MachineConfig cfg = sim::MachineConfig::origin2000(P);
-        cfg.protocol = proto.protocol;
-        cfg.dirFormat = proto.dirFormat;
-        // --seed / CCNUMA_SEED steers every randomized machine policy
-        // (only the topology-mapping permutation today).
-        cfg.mappingSeed = opt.seed;
-        if (!opt.traceFile.empty() && P == sizes.back()) {
+        sim::MachineConfig cfg = proto;
+        cfg.numProcs = P;
+        if (!traceFile.empty() && P == sizes.back()) {
             // Trace the largest machine: that run is the one whose
             // scaling loss needs explaining.
             cfg.trace.events = true;
             cfg.trace.intervals = true;
             cfg.trace.sharing = true;
         }
-        // --epoch-cycles / CCNUMA_EPOCH tunes the epoch resolution.
-        if (opt.epochCycles)
-            cfg.trace.epochCycles = opt.epochCycles;
         plan.add(app + " P=" + std::to_string(P), cfg,
                  [app, size] { return apps::makeApp(app, size); }, app);
     }
 
-    core::StudyRunner runner({.jobs = opt.jobs, .progress = true});
+    core::StudyRunner runner({.jobs = jobs, .progress = true});
     const core::StudyResult res = runner.run(plan);
 
     std::printf("%6s %10s %8s %8s   breakdown\n", "procs", "speedup",
@@ -98,27 +110,27 @@ try {
     std::printf("\n%zu runs in %.1fs host wall-clock with %d jobs\n",
                 res.runs.size(), res.wallSeconds, res.jobs);
 
-    if (!opt.jsonFile.empty()) {
-        core::MetricsSink sink(opt.jsonFile);
+    if (!jsonFile.empty()) {
+        core::MetricsSink sink(jsonFile);
         sink.setMachine(proto);
         res.emit(sink);
         if (sink.write())
-            std::printf("wrote %s\n", opt.jsonFile.c_str());
+            std::printf("wrote %s\n", jsonFile.c_str());
     }
 
     const core::RunOutcome* largest =
         res.runs.empty() ? nullptr : &res.runs.back();
-    if (!opt.traceFile.empty() && largest && largest->ok &&
+    if (!traceFile.empty() && largest && largest->ok &&
         largest->m.par.trace) {
         const obs::Trace& t = *largest->m.par.trace;
         core::printHeader("observability: " + app + " at " +
                           std::to_string(largest->nprocs) + " procs");
         core::printLatencyHistograms(t);
         core::printHotLines(t, 10);
-        if (obs::writeChromeTraceFile(opt.traceFile, t))
+        if (obs::writeChromeTraceFile(traceFile, t))
             std::printf("wrote %s (chrome://tracing / Perfetto)\n",
-                        opt.traceFile.c_str());
-        const std::string metrics = opt.traceFile + ".metrics.json";
+                        traceFile.c_str());
+        const std::string metrics = traceFile + ".metrics.json";
         if (obs::writeMetricsJsonFile(metrics, t, &largest->m.par))
             std::printf("wrote %s\n", metrics.c_str());
     }
@@ -131,10 +143,7 @@ try {
     }
     return res.failures() ? 1 : 0;
 } catch (const std::exception& e) {
+    // An unknown app's message lists the valid names.
     std::fprintf(stderr, "error: %s\n", e.what());
-    std::fprintf(stderr, "known applications: ");
-    for (const auto& n : ccnuma::apps::listApps())
-        std::fprintf(stderr, "%s ", n.c_str());
-    std::fprintf(stderr, "\n");
     return 1;
 }

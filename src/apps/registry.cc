@@ -1,7 +1,9 @@
 #include "apps/registry.hh"
 
 #include <bit>
+#include <climits>
 #include <stdexcept>
+#include <string>
 
 #include "apps/barnes_app.hh"
 #include "apps/fft_app.hh"
@@ -26,6 +28,18 @@ throwUnknownApp(const std::string& name)
     for (const std::string& known : listApps())
         msg += " " + known;
     throw std::invalid_argument(msg);
+}
+
+/// `size` for an app whose config holds it in an int: a larger size
+/// would wrap to another (or a negative) problem.
+int
+intSize(const std::string& name, std::uint64_t size)
+{
+    if (size > INT_MAX)
+        throw std::invalid_argument(name + ": size " +
+                                    std::to_string(size) + " exceeds " +
+                                    std::to_string(INT_MAX));
+    return static_cast<int>(size);
 }
 
 } // namespace
@@ -169,31 +183,31 @@ makeApp(const std::string& name, std::uint64_t size)
     }
     if (name == "raytrace" || name == "raytrace-nostatslock") {
         RaytraceConfig c;
-        c.imageSide = static_cast<int>(size);
+        c.imageSide = intSize(name, size);
         c.statsLock = name == "raytrace";
         return std::make_unique<RaytraceApp>(c);
     }
     if (name == "volrend" || name == "volrend-balanced") {
         VolrendConfig c;
-        c.volDim = static_cast<int>(size);
+        c.volDim = intSize(name, size);
         c.balancedInit = name == "volrend-balanced";
         return std::make_unique<VolrendApp>(c);
     }
     if (name == "shearwarp" || name == "shearwarp-locality") {
         ShearWarpConfig c;
-        c.volDim = static_cast<int>(size);
+        c.volDim = intSize(name, size);
         c.restructured = name == "shearwarp-locality";
         return std::make_unique<ShearWarpApp>(c);
     }
     if (name == "infer" || name == "infer-static") {
         InferConfig c;
-        c.numCliques = static_cast<int>(size);
+        c.numCliques = intSize(name, size);
         c.staticWithinClique = name == "infer-static";
         return std::make_unique<InferApp>(c);
     }
     if (name == "protein" || name == "protein-noregroup") {
         ProteinConfig c;
-        c.leaves = static_cast<int>(size);
+        c.leaves = intSize(name, size);
         c.regroup = name == "protein";
         return std::make_unique<ProteinApp>(c);
     }

@@ -1,85 +1,15 @@
 /**
  * @file
- * ccnuma_verify: command-line driver for the verification harness.
- *
- *   ccnuma_verify stress [--seed=N] [--seeds=K] [--procs=P] [--ops=N]
- *                        [--shrink] [--mutate]
- *       Run K consecutive randomized stress programs starting at seed
- *       N under the SC oracle. On failure, replays the seed to confirm
- *       bit-identical reproduction, then (with --shrink, the default
- *       for failures) prints a minimized witness. --mutate runs with
- *       the deliberately broken SkipInvalidation protocol and inverts
- *       the exit logic: success means the oracle caught the break.
- *
- *   ccnuma_verify golden [--procs=P] [--bless] [--out=FILE|--check=FILE]
- *       Recompute the golden-metrics snapshot for every registered
- *       app. --check diffs against a committed baseline (default
- *       tests/golden/metrics-v1.json); --bless rewrites it.
- *
- *   ccnuma_verify races [--app=NAME|--all] [--procs=P] [--seed=N]
- *                       [--seeds=K] [--ops=N] [--mutate] [--json=FILE]
- *       Happens-before race analysis (ccnuma::analyze). Default /
- *       --all: run every registered app at its golden size under the
- *       race detector and expect zero races; --app restricts to one.
- *       --mutate instead runs disciplined stress programs first clean
- *       (must be race-free) and then under the DropLockAcquire
- *       protocol mutation (must race), shrinking the racy program to a
- *       minimal witness — the detector's end-to-end self-test.
- *       --json dumps per-app detector statistics via core::MetricsSink.
- *
- *   ccnuma_verify diagnose [--app=NAME|--all] [--procs=P1,P2,..]
- *                          [--size=N] [--epoch-cycles=N] [--jobs=N]
- *                          [--json=FILE] [--html=FILE]
- *       Automated scaling-loss diagnosis (ccnuma::diagnose): run each
- *       app across the machine-size grid (default 1,8,32; the smallest
- *       is the reference) and print a ranked verdict — lock
- *       serialization vs barrier imbalance vs Hub contention vs data
- *       placement vs cache capacity — backed by the counters and
- *       latency histograms that say so. --json writes the verdicts as
- *       one deterministic JSON document; --html writes a
- *       self-contained dashboard (verdict cards, per-epoch stacked
- *       breakdown, miss-latency heatmap, hot-line table).
- *
- *   ccnuma_verify protocols [--seeds=K] [--procs=P] [--ops=N]
- *                           [--apps=A,B,..] [--diag-procs=P1,P2,..]
- *                           [--json=FILE]
- *       Sweep the full coherence cross-product — {mesi, moesi, dragon}
- *       x {fullbv, coarse:4, ptr:2} — and for every combination run
- *       K-seed randomized stress under the SC oracle, the all-apps
- *       oracle sweep, the all-apps race analysis, and a scaling
- *       diagnosis of the --apps subset. Prints a comparison grid and
- *       flags apps whose scaling verdict differs across combinations.
- *
- *   ccnuma_verify model [--procs=P1,P2,..] [--max-states=N]
- *                       [--no-symmetry] [--json=FILE]
- *                       [--mutate=skip-inval|drop-owned-writeback|
- *                        corrupt-moesi-table]
- *       Exhaustive Murphi-style model check (ccnuma::model): BFS-
- *       enumerate every reachable global state of one cache line —
- *       directory entry, per-processor line states, in-flight
- *       prefetch fills — through the real protocol engine, checking
- *       the single-writer / data-value / memory-currency / fan-out
- *       invariant battery at every transition, with symmetry
- *       reduction over processor permutation. The default sweeps the
- *       full {mesi,moesi,dragon} x {fullbv,coarse:4,ptr:2} matrix at
- *       P=2,3,4 and expects zero violations. --mutate inverts the
- *       exit logic: the deliberately corrupted protocol must be
- *       *caught* on every combination where it is expressible, each
- *       with a shortest replayable counterexample.
- *
- *   ccnuma_verify help  (also --help, -h)
- *       Print the full subcommand reference and exit 0.
- *
- * stress, races, diagnose, model and protocols-member runs all accept
- * --protocol=mesi|moesi|dragon and --dir-format=fullbv|coarse:K|ptr:N
- * (CCNUMA_PROTOCOL / CCNUMA_DIR) to pick the coherence machine;
- * golden intentionally does not: the committed baseline pins the
- * default MESI + full-bit-vector machine.
- *
- * Exit status: 0 = verified, 1 = verification failure, 2 = usage.
+ * ccnuma_verify <command> [flags]: command-line driver for the
+ * verification harness. Each subcommand is one entry of the table in
+ * main(), whose flags generate its usage; `ccnuma_verify help` prints
+ * them all. Exit status: 0 = verified, 1 = verification failure,
+ * 2 = usage.
  */
 
 #include <cstdio>
+#include <functional>
+#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -100,227 +30,109 @@
 namespace {
 
 using namespace ccnuma;
+using core::cli::Command;
 
-constexpr const char* kUsage =
-    "usage: ccnuma_verify <command> [flags]\n"
-    "\n"
-    "  stress    randomized programs under the sequential-consistency\n"
-    "            oracle, with replay + witness shrinking on failure\n"
-    "              [--seed=N] [--seeds=K] [--procs=P] [--ops=N]\n"
-    "              [--shrink] [--mutate]\n"
-    "  golden    recompute the per-app golden-metrics snapshot and\n"
-    "            diff (or --bless) the committed baseline\n"
-    "              [--procs=P] [--bless] [--out=FILE|--check=FILE]\n"
-    "  races     happens-before race analysis over the registered\n"
-    "            apps, or detector self-test with --mutate\n"
-    "              [--app=NAME|--all] [--procs=P] [--seed=N]\n"
-    "              [--seeds=K] [--ops=N] [--mutate] [--json=FILE]\n"
-    "  diagnose  automated scaling-loss diagnosis: ranked verdict per\n"
-    "            app (lock serialization / barrier imbalance / Hub\n"
-    "            contention / data placement / capacity) from a\n"
-    "            machine-size sweep\n"
-    "              [--app=NAME|--all] [--procs=P1,P2,..] [--size=N]\n"
-    "              [--epoch-cycles=N] [--jobs=N] [--json=FILE]\n"
-    "              [--html=FILE]\n"
-    "  protocols sweep the protocol x directory-format cross-product\n"
-    "            ({mesi,moesi,dragon} x {fullbv,coarse:4,ptr:2}):\n"
-    "            per combination, seeded stress + all-apps oracle\n"
-    "            sweep + all-apps race analysis + scaling diagnosis of\n"
-    "            the --apps subset, printed as a comparison grid\n"
-    "              [--seeds=K] [--procs=P] [--ops=N] [--apps=A,B,..]\n"
-    "              [--diag-procs=P1,P2,..] [--json=FILE]\n"
-    "  model     exhaustive model check of one cache line: enumerate\n"
-    "            every reachable global state through the real engine\n"
-    "            and prove the coherence invariants, or catch a\n"
-    "            --mutate corruption with a minimal replayable\n"
-    "            counterexample; default sweeps all 9 protocol x\n"
-    "            directory-format combos at P=2,3,4\n"
-    "              [--procs=P1,P2,..] [--max-states=N] [--no-symmetry]\n"
-    "              [--json=FILE] [--mutate=skip-inval|\n"
-    "               drop-owned-writeback|corrupt-moesi-table]\n"
-    "  help      print this reference (also --help, -h)\n"
-    "\n"
-    "stress/races/diagnose/model also take --protocol=mesi|moesi|dragon\n"
-    "and --dir-format=fullbv|coarse:K|ptr:N (env CCNUMA_PROTOCOL /\n"
-    "CCNUMA_DIR); golden always pins the default mesi+fullbv machine\n"
-    "\n"
-    "exit status: 0 = verified, 1 = verification failure, 2 = usage\n";
+/// The committed baseline; CMake sets CCNUMA_GOLDEN_DIR to tests/golden.
+constexpr const char* kGoldenPath = CCNUMA_GOLDEN_DIR "/metrics-v1.json";
 
-std::string
-defaultGoldenPath()
+/// A u64 as printf's %llu argument.
+unsigned long long
+ull(std::uint64_t v)
 {
-#ifdef CCNUMA_GOLDEN_DIR
-    return std::string(CCNUMA_GOLDEN_DIR) + "/metrics-v1.json";
-#else
-    return "tests/golden/metrics-v1.json";
-#endif
+    return v;
 }
 
-/// The `kUsage` block for one subcommand: its summary line plus every
-/// continuation/flag line, sliced out of the single source of truth so
-/// the snippet can never drift from `help`. Unknown commands get the
-/// full reference.
-std::string
-usageSnippet(const std::string& cmd)
+/// Exit status of a --mutate run in a build without the hooks.
+[[maybe_unused]] int
+noMutationHooks()
 {
-    const std::string usage(kUsage);
-    const std::string anchor = "\n  " + cmd + " ";
-    const std::size_t hit = usage.find(anchor);
-    if (hit == std::string::npos)
-        return usage;
-    std::string out = "usage:\n";
-    std::size_t pos = hit + 1;
-    while (pos < usage.size()) {
-        std::size_t nl = usage.find('\n', pos);
-        if (nl == std::string::npos)
-            nl = usage.size();
-        const std::string line = usage.substr(pos, nl - pos);
-        // Continuation lines are indented deeper than the two-space
-        // command column; the next command (or the blank separator)
-        // ends the block.
-        if (pos != hit + 1 && line.compare(0, 4, "    ") != 0)
-            break;
-        out += line + "\n";
-        pos = nl + 1;
-    }
-    out += "run `ccnuma_verify help` for the full reference\n";
-    return out;
-}
-
-/// Print `cmd`'s usage snippet and return the usage exit status.
-/// Call sites that already diagnosed the specific problem funnel
-/// through here so every flag error carries its remedy.
-int
-usageError(const std::string& cmd)
-{
-    std::fprintf(stderr, "%s", usageSnippet(cmd).c_str());
+    std::fprintf(stderr, "mutation hooks not compiled in "
+                         "(build with -DCCNUMA_CHECK_MUTATE=ON)\n");
     return 2;
 }
 
-/// Strict end-of-parse check shared by every subcommand: any flag
-/// left unconsumed, any malformed numeric value, and any stray
-/// positional argument is an error (exit 2) accompanied by the
-/// subcommand's usage snippet — never a warning that scrolls away.
-bool
-strictFinish(const core::cli::Options& opt, const std::string& cmd)
-{
-    bool ok = core::cli::warnUnknown(opt);
-    for (std::size_t i = 1; i < opt.positional.size(); ++i) {
-        std::fprintf(stderr, "unexpected argument '%s'\n",
-                     opt.positional[i].c_str());
-        ok = false;
-    }
-    if (!ok)
-        std::fprintf(stderr, "%s", usageSnippet(cmd).c_str());
-    return ok;
-}
+struct StressArgs {
+    check::StressOptions base; ///< seed, procs, ops and the machine.
+    std::uint64_t seeds = 1;
+    bool shrink = false;
+    bool mutate = false;
+};
 
 int
-runStressCmd(core::cli::Options& opt)
+runStress(StressArgs& a, const Command&)
 {
-    std::uint64_t seeds = 1;
-    std::uint64_t procs = 8;
-    std::uint64_t ops = 250;
-    opt.takeU64("seeds", seeds);
-    opt.takeU64("procs", procs);
-    opt.takeU64("ops", ops);
-    const bool shrinkWitness = opt.takeSwitch("shrink");
-    const bool mutate = opt.takeSwitch("mutate");
-
-    check::StressOptions base;
-    core::cli::applyMachine(opt, base.machine);
-    if (!strictFinish(opt, "stress"))
-        return 2;
-    base.seed = opt.seed;
-    base.procs = static_cast<int>(procs);
-    base.opsPerProc = static_cast<int>(ops);
-    if (mutate) {
+    if (a.mutate) {
 #ifdef CCNUMA_CHECK_MUTATE
-        base.mutation = sim::CheckMutation::SkipInvalidation;
+        a.base.mutation = sim::CheckMutation::SkipInvalidation;
 #else
-        std::fprintf(stderr,
-                     "mutation hooks not compiled in "
-                     "(build with -DCCNUMA_CHECK_MUTATE=ON)\n");
-        return 2;
+        return noMutationHooks();
 #endif
     }
 
     std::uint64_t failures = 0;
-    for (std::uint64_t i = 0; i < seeds; ++i) {
-        check::StressOptions o = base;
-        o.seed = base.seed + i;
+    for (std::uint64_t i = 0; i < a.seeds; ++i) {
+        check::StressOptions o = a.base;
+        o.seed = a.base.seed + i;
         const check::StressReport rep = check::runStress(o);
         std::printf("seed %llu: %llu commits, %llu loads checked, "
                     "%llu validations, %s\n",
-                    static_cast<unsigned long long>(o.seed),
-                    static_cast<unsigned long long>(rep.commits),
-                    static_cast<unsigned long long>(rep.loadsChecked),
-                    static_cast<unsigned long long>(rep.validations),
-                    rep.failed ? "FAILED" : "ok");
+                    ull(o.seed), ull(rep.commits), ull(rep.loadsChecked),
+                    ull(rep.validations), rep.failed ? "FAILED" : "ok");
         if (!rep.failed)
             continue;
         ++failures;
         std::printf("  first violation (commit %llu): %s\n",
-                    static_cast<unsigned long long>(rep.failCommit),
-                    rep.message.c_str());
+                    ull(rep.failCommit), rep.message.c_str());
         const check::StressReport replay = check::runStress(o);
         std::printf("  replay: %s\n",
                     replay == rep ? "bit-identical"
                                   : "MISMATCH (non-deterministic!)");
-        if (shrinkWitness || mutate) {
+        if (a.shrink || a.mutate) {
             const check::ShrinkResult sh =
                 check::shrink(check::generate(o), o);
             std::printf("  shrunk witness: %llu ops (from %llu, "
                         "%d runs)\n",
-                        static_cast<unsigned long long>(sh.opsAfter),
-                        static_cast<unsigned long long>(sh.opsBefore),
-                        sh.runs);
+                        ull(sh.opsAfter), ull(sh.opsBefore), sh.runs);
             std::printf("%s", check::formatWitness(sh.program).c_str());
             std::printf("  witness failure: %s\n",
                         sh.report.message.c_str());
         }
     }
 
-    if (mutate) {
+    if (a.mutate) {
         // Self-test: a broken protocol MUST be detected.
-        if (failures == seeds) {
+        if (failures == a.seeds) {
             std::printf("mutation caught on %llu/%llu seed(s): the "
                         "oracle has teeth\n",
-                        static_cast<unsigned long long>(failures),
-                        static_cast<unsigned long long>(seeds));
+                        ull(failures), ull(a.seeds));
             return 0;
         }
-        std::fprintf(stderr,
-                     "mutation UNDETECTED on %llu/%llu seed(s)\n",
-                     static_cast<unsigned long long>(seeds - failures),
-                     static_cast<unsigned long long>(seeds));
+        std::fprintf(stderr, "mutation UNDETECTED on %llu/%llu seed(s)\n",
+                     ull(a.seeds - failures), ull(a.seeds));
         return 1;
     }
     return failures == 0 ? 0 : 1;
 }
 
+struct GoldenArgs {
+    int procs = 4;
+    bool bless = false;
+    std::string out;
+    std::string check;
+};
+
 int
-runGoldenCmd(core::cli::Options& opt)
+runGolden(const GoldenArgs& a, const Command& cmd)
 {
-    std::uint64_t procs = 4;
-    opt.takeU64("procs", procs);
-    std::string outPath;
-    std::string checkPath;
-    const bool hasOut = opt.takeFlag("out", outPath);
-    const bool hasCheck = opt.takeFlag("check", checkPath);
-    const bool bless = opt.takeSwitch("bless");
-    if (!strictFinish(opt, "golden"))
-        return 2;
-    if (hasOut && hasCheck) {
-        std::fprintf(stderr, "--out and --check are exclusive\n");
-        return usageError("golden");
-    }
+    const bool hasOut = !a.out.empty();
+    if (hasOut && !a.check.empty())
+        return core::cli::usageError(cmd,
+                                     "--out and --check are exclusive");
 
-    const check::GoldenSnapshot current =
-        check::computeGolden(static_cast<int>(procs));
+    const check::GoldenSnapshot current = check::computeGolden(a.procs);
 
-    if (bless || hasOut) {
-        const std::string path = hasOut ? outPath : defaultGoldenPath();
+    if (a.bless || hasOut) {
+        const std::string path = hasOut ? a.out : kGoldenPath;
         std::string err;
         if (!check::writeGoldenFile(path, current, err)) {
             std::fprintf(stderr, "%s\n", err.c_str());
@@ -331,7 +143,7 @@ runGoldenCmd(core::cli::Options& opt)
         return 0;
     }
 
-    const std::string path = hasCheck ? checkPath : defaultGoldenPath();
+    const std::string path = a.check.empty() ? kGoldenPath : a.check;
     check::GoldenSnapshot baseline;
     std::string err;
     if (!check::loadGoldenFile(path, baseline, err)) {
@@ -349,9 +161,8 @@ runGoldenCmd(core::cli::Options& opt)
                  path.c_str());
     for (const std::string& d : diffs)
         std::fprintf(stderr, "  %s\n", d.c_str());
-    std::fprintf(stderr,
-                 "re-bless with `ccnuma_verify golden --bless` if "
-                 "intentional\n");
+    std::fprintf(stderr, "re-bless with `ccnuma_verify golden --bless` if "
+                         "intentional\n");
     return 1;
 }
 
@@ -360,37 +171,35 @@ printRaceApp(const analyze::AppRaceResult& r)
 {
     std::printf("%-24s %9llu mem ops, %7llu sync ops, %6llu shadow "
                 "locations, %s\n",
-                r.app.c_str(),
-                static_cast<unsigned long long>(r.stats.memOps),
-                static_cast<unsigned long long>(r.stats.syncOps),
-                static_cast<unsigned long long>(r.stats.shadowLocations),
+                r.app.c_str(), ull(r.stats.memOps), ull(r.stats.syncOps),
+                ull(r.stats.shadowLocations),
                 r.races.empty() ? "race-free" : "RACES");
     for (const analyze::Race& race : r.races)
         std::printf("  %s\n", race.format().c_str());
 }
 
+struct RacesArgs {
+    std::string app;
+    bool all = false;
+    int procs = 4;
+    std::uint64_t seed = 1;
+    std::uint64_t seeds = 1;
+    int ops = 250;
+    bool mutate = false;
+    std::string json;
+    sim::MachineConfig machine; ///< origin2000(procs) once parsed.
+};
+
 int
-runRaceMutateCmd(std::uint64_t seed0, std::uint64_t seeds,
-                 std::uint64_t procs, std::uint64_t ops,
-                 const sim::MachineConfig& machine)
+runRaceMutate(const RacesArgs& a)
 {
-#ifndef CCNUMA_CHECK_MUTATE
-    (void)seed0;
-    (void)seeds;
-    (void)procs;
-    (void)ops;
-    (void)machine;
-    std::fprintf(stderr, "mutation hooks not compiled in "
-                         "(build with -DCCNUMA_CHECK_MUTATE=ON)\n");
-    return 2;
-#else
     std::uint64_t undetected = 0;
-    for (std::uint64_t i = 0; i < seeds; ++i) {
-        check::StressOptions o = analyze::raceStressOptions(seed0 + i);
-        o.procs = static_cast<int>(procs);
-        o.opsPerProc = static_cast<int>(ops);
-        o.machine.protocol = machine.protocol;
-        o.machine.dirFormat = machine.dirFormat;
+    for (std::uint64_t i = 0; i < a.seeds; ++i) {
+        check::StressOptions o = analyze::raceStressOptions(a.seed + i);
+        o.procs = a.procs;
+        o.opsPerProc = a.ops;
+        o.machine.protocol = a.machine.protocol;
+        o.machine.dirFormat = a.machine.dirFormat;
         const check::StressProgram prog = check::generate(o);
 
         // Clean run first: a disciplined program must analyze race-free
@@ -399,11 +208,9 @@ runRaceMutateCmd(std::uint64_t seed0, std::uint64_t seeds,
         const analyze::RaceStressResult clean =
             analyze::raceExecute(prog, o);
         if (clean.report.failed) {
-            std::fprintf(stderr,
-                         "seed %llu: FALSE POSITIVE on the "
-                         "unmutated program: %s\n",
-                         static_cast<unsigned long long>(o.seed),
-                         clean.report.message.c_str());
+            std::fprintf(stderr, "seed %llu: FALSE POSITIVE on the "
+                                 "unmutated program: %s\n",
+                         ull(o.seed), clean.report.message.c_str());
             ++undetected;
             continue;
         }
@@ -412,72 +219,53 @@ runRaceMutateCmd(std::uint64_t seed0, std::uint64_t seeds,
         const analyze::RaceStressResult broken =
             analyze::raceExecute(prog, o);
         if (!broken.report.failed) {
-            std::fprintf(stderr,
-                         "seed %llu: DropLockAcquire UNDETECTED\n",
-                         static_cast<unsigned long long>(o.seed));
+            std::fprintf(stderr, "seed %llu: DropLockAcquire UNDETECTED\n",
+                         ull(o.seed));
             ++undetected;
             continue;
         }
         const check::ShrinkResult sh = analyze::shrinkRace(prog, o);
         std::printf("seed %llu: mutation caught (%llu races); shrunk "
                     "witness %llu ops (from %llu, %d runs)\n",
-                    static_cast<unsigned long long>(o.seed),
-                    static_cast<unsigned long long>(
-                        broken.stats.racesFound),
-                    static_cast<unsigned long long>(sh.opsAfter),
-                    static_cast<unsigned long long>(sh.opsBefore),
-                    sh.runs);
+                    ull(o.seed), ull(broken.stats.racesFound), ull(sh.opsAfter),
+                    ull(sh.opsBefore), sh.runs);
         std::printf("%s", check::formatWitness(sh.program).c_str());
         std::printf("  witness race: %s\n",
                     sh.report.message.c_str());
     }
     if (undetected == 0) {
         std::printf("race detector self-test passed on %llu seed(s)\n",
-                    static_cast<unsigned long long>(seeds));
+                    ull(a.seeds));
         return 0;
     }
     return 1;
-#endif
 }
 
 int
-runRacesCmd(core::cli::Options& opt)
+runRaces(RacesArgs& a, const Command& cmd)
 {
-    std::uint64_t procs = 4;
-    std::uint64_t seeds = 1;
-    std::uint64_t ops = 250;
-    opt.takeU64("procs", procs);
-    opt.takeU64("seeds", seeds);
-    opt.takeU64("ops", ops);
-    std::string appName;
-    const bool hasApp = opt.takeFlag("app", appName);
-    const bool all = opt.takeSwitch("all");
-    const bool mutate = opt.takeSwitch("mutate");
-    sim::MachineConfig machine =
-        sim::MachineConfig::origin2000(static_cast<int>(procs));
-    core::cli::applyMachine(opt, machine);
-    if (!strictFinish(opt, "races"))
-        return 2;
-    if (hasApp && all) {
-        std::fprintf(stderr, "--app and --all are exclusive\n");
-        return usageError("races");
+    if (!a.app.empty() && a.all)
+        return core::cli::usageError(cmd, "--app and --all are exclusive");
+    a.machine.numProcs = a.procs;
+    if (a.mutate) {
+#ifndef CCNUMA_CHECK_MUTATE
+        return noMutationHooks();
+#endif
+        return runRaceMutate(a);
     }
 
-    if (mutate)
-        return runRaceMutateCmd(opt.seed, seeds, procs, ops, machine);
-
-    core::MetricsSink sink(opt.jsonFile);
-    sink.setMachine(machine);
+    core::MetricsSink sink(a.json);
+    sink.setMachine(a.machine);
     std::vector<analyze::AppRaceResult> results;
-    if (hasApp) {
+    if (!a.app.empty()) {
         try {
-            results.push_back(analyze::analyzeApp(appName, machine));
+            results.push_back(analyze::analyzeApp(a.app, a.machine));
         } catch (const std::invalid_argument& e) {
             std::fprintf(stderr, "error: %s\n", e.what());
             return 1;
         }
     } else {
-        results = analyze::analyzeAllApps(machine);
+        results = analyze::analyzeAllApps(a.machine);
     }
 
     std::uint64_t racy = 0;
@@ -494,7 +282,7 @@ runRacesCmd(core::cli::Options& opt)
         return 0;
     }
     std::fprintf(stderr, "%llu/%zu app(s) RACY\n",
-                 static_cast<unsigned long long>(racy), results.size());
+                 ull(racy), results.size());
     return 1;
 }
 
@@ -516,46 +304,28 @@ printDiagnosis(const diagnose::AppDiagnosis& d)
     }
 }
 
+struct DiagnoseArgs {
+    diagnose::DiagnoseOptions opt; ///< procs, size, epoch, jobs.
+    std::string app;
+    bool all = false;
+    std::string json;
+    std::string html;
+    sim::MachineConfig machine; ///< Its protocol and directory format.
+};
+
 int
-runDiagnoseCmd(core::cli::Options& opt)
+runDiagnose(DiagnoseArgs& a, const Command& cmd)
 {
-    diagnose::DiagnoseOptions dopt;
-    dopt.jobs = opt.jobs;
-    dopt.epochCycles = opt.epochCycles;
-    std::string procsList;
-    if (opt.takeFlag("procs", procsList)) {
-        std::vector<std::uint64_t> grid;
-        if (!core::cli::parseU64List(procsList, grid)) {
-            std::fprintf(stderr, "malformed --procs=%s "
-                                 "(want e.g. --procs=1,8,32)\n",
-                         procsList.c_str());
-            return usageError("diagnose");
-        }
-        dopt.procs.clear();
-        for (std::uint64_t p : grid)
-            dopt.procs.push_back(static_cast<int>(p));
-    }
-    opt.takeU64("size", dopt.size);
-    std::string appName;
-    const bool hasApp = opt.takeFlag("app", appName);
-    const bool all = opt.takeSwitch("all");
-    std::string htmlPath;
-    const bool hasHtml = opt.takeFlag("html", htmlPath);
-    sim::MachineConfig machine = sim::MachineConfig::origin2000(2);
-    core::cli::applyMachine(opt, machine);
-    dopt.protocol = machine.protocol;
-    dopt.dirFormat = machine.dirFormat;
-    if (!strictFinish(opt, "diagnose"))
-        return 2;
-    if (hasApp && all) {
-        std::fprintf(stderr, "--app and --all are exclusive\n");
-        return usageError("diagnose");
-    }
+    if (!a.app.empty() && a.all)
+        return core::cli::usageError(cmd, "--app and --all are exclusive");
+    diagnose::DiagnoseOptions& dopt = a.opt;
+    dopt.protocol = a.machine.protocol;
+    dopt.dirFormat = a.machine.dirFormat;
 
     std::vector<diagnose::AppDiagnosis> results;
-    if (hasApp) {
+    if (!a.app.empty()) {
         try {
-            results.push_back(diagnose::diagnoseApp(appName, dopt));
+            results.push_back(diagnose::diagnoseApp(a.app, dopt));
         } catch (const std::invalid_argument& e) {
             std::fprintf(stderr, "error: %s\n", e.what());
             return 1;
@@ -566,34 +336,29 @@ runDiagnoseCmd(core::cli::Options& opt)
     }
 
     std::uint64_t failed = 0;
-    core::MetricsSink sink(opt.jsonFile);
-    sink.setMachine(machine);
     for (const diagnose::AppDiagnosis& d : results) {
         printDiagnosis(d);
-        diagnose::emitMetrics(d, sink);
         if (!d.ok)
             ++failed;
     }
-    if (!opt.jsonFile.empty() &&
-        !diagnose::writeDiagnoseJsonFile(opt.jsonFile, results)) {
-        std::fprintf(stderr, "failed to write %s\n",
-                     opt.jsonFile.c_str());
+    if (!a.json.empty() &&
+        !diagnose::writeDiagnoseJsonFile(a.json, results)) {
+        std::fprintf(stderr, "failed to write %s\n", a.json.c_str());
         return 1;
     }
-    if (!opt.jsonFile.empty())
-        std::printf("wrote %s\n", opt.jsonFile.c_str());
-    if (hasHtml) {
-        if (!diagnose::writeDashboardFile(htmlPath, results)) {
-            std::fprintf(stderr, "failed to write %s\n",
-                         htmlPath.c_str());
+    if (!a.json.empty())
+        std::printf("wrote %s\n", a.json.c_str());
+    if (!a.html.empty()) {
+        if (!diagnose::writeDashboardFile(a.html, results)) {
+            std::fprintf(stderr, "failed to write %s\n", a.html.c_str());
             return 1;
         }
         std::printf("wrote %s (self-contained dashboard)\n",
-                    htmlPath.c_str());
+                    a.html.c_str());
     }
     if (failed) {
         std::fprintf(stderr, "%llu app(s) failed to diagnose\n",
-                     static_cast<unsigned long long>(failed));
+                     ull(failed));
         return 1;
     }
     return 0;
@@ -671,79 +436,51 @@ shortVerdict(const diagnose::AppDiagnosis& d)
     return std::string(d.scalesWell ? "scales" : "poor") + "/" + cause;
 }
 
-int
-runProtocolsCmd(core::cli::Options& opt)
-{
+struct ProtocolsArgs {
+    check::StressOptions stress{.opsPerProc = 150}; ///< seed, procs, ops.
     std::uint64_t seeds = 3;
-    std::uint64_t procs = 8;
-    std::uint64_t ops = 150;
-    opt.takeU64("seeds", seeds);
-    opt.takeU64("procs", procs);
-    opt.takeU64("ops", ops);
-
-    std::vector<std::string> diagApps = {"fft", "ocean", "radix"};
-    std::string appsList;
-    if (opt.takeFlag("apps", appsList)) {
-        diagApps.clear();
-        std::string cur;
-        for (const char ch : appsList + ",") {
-            if (ch != ',') {
-                cur += ch;
-                continue;
-            }
-            if (!cur.empty())
-                diagApps.push_back(cur);
-            cur.clear();
-        }
-    }
-
+    std::string apps = "fft,ocean,radix";
     std::vector<int> diagProcs = {1, 8, 32};
-    std::string diagProcsList;
-    if (opt.takeFlag("diag-procs", diagProcsList)) {
-        std::vector<std::uint64_t> grid;
-        if (!core::cli::parseU64List(diagProcsList, grid)) {
-            std::fprintf(stderr,
-                         "malformed --diag-procs=%s "
-                         "(want e.g. --diag-procs=1,8,32)\n",
-                         diagProcsList.c_str());
-            return usageError("protocols");
-        }
-        diagProcs.clear();
-        for (std::uint64_t p : grid)
-            diagProcs.push_back(static_cast<int>(p));
+    int jobs = 1;
+    std::string json;
+};
+
+int
+runProtocols(const ProtocolsArgs& a, const Command& cmd)
+{
+    // Names are checked before the first combination's minutes of work.
+    std::vector<std::string> diagApps;
+    std::istringstream appList(a.apps);
+    for (std::string app; std::getline(appList, app, ',');) {
+        if (app.empty())
+            continue;
+        if (!apps::tryMakeApp(app))
+            return core::cli::usageError(cmd, "unknown app '" + app + "'");
+        diagApps.push_back(app);
     }
-    if (!strictFinish(opt, "protocols"))
-        return 2;
 
     const std::vector<std::string> protoNames = {"mesi", "moesi",
                                                  "dragon"};
     const std::vector<std::string> dirNames = {"fullbv", "coarse:4",
                                                "ptr:2"};
 
-    core::MetricsSink sink(opt.jsonFile);
+    core::MetricsSink sink(a.json);
     std::vector<ComboResult> combos;
     for (const std::string& pn : protoNames) {
         for (const std::string& dn : dirNames) {
             sim::MachineConfig machine =
-                sim::MachineConfig::origin2000(
-                    static_cast<int>(procs));
-            if (!machine.protocol.parse(pn) ||
-                !machine.dirFormat.parse(dn)) {
-                std::fprintf(stderr, "internal: bad combo %s+%s\n",
-                             pn.c_str(), dn.c_str());
-                return 2;
-            }
+                sim::MachineConfig::origin2000(a.stress.procs);
+            machine.protocol.parse(pn); // names from the lists above
+            machine.dirFormat.parse(dn);
             ComboResult cr;
             cr.proto = pn;
             cr.dir = dn;
             std::printf("== %s ==\n", cr.label().c_str());
 
             // 1. Randomized stress under the SC oracle.
-            for (std::uint64_t i = 0; i < seeds; ++i) {
-                check::StressOptions o;
-                o.seed = opt.seed + i;
-                o.procs = static_cast<int>(procs);
-                o.opsPerProc = static_cast<int>(ops);
+            for (std::uint64_t i = 0; i < a.seeds; ++i) {
+                check::StressOptions o = a.stress;
+                o.seed += i;
                 o.machine.protocol = machine.protocol;
                 o.machine.dirFormat = machine.dirFormat;
                 const check::StressReport rep = check::runStress(o);
@@ -751,13 +488,11 @@ runProtocolsCmd(core::cli::Options& opt)
                     continue;
                 ++cr.stressFailures;
                 std::printf("  stress seed %llu FAILED: %s\n",
-                            static_cast<unsigned long long>(o.seed),
-                            rep.message.c_str());
+                            ull(o.seed), rep.message.c_str());
                 const check::ShrinkResult sh =
                     check::shrink(check::generate(o), o);
                 std::printf("  shrunk witness: %llu ops\n%s",
-                            static_cast<unsigned long long>(
-                                sh.opsAfter),
+                            ull(sh.opsAfter),
                             check::formatWitness(sh.program).c_str());
             }
 
@@ -783,36 +518,22 @@ runProtocolsCmd(core::cli::Options& opt)
 
             // 4. Scaling diagnosis of the --apps subset.
             diagnose::DiagnoseOptions dopt;
-            dopt.procs = diagProcs;
-            dopt.jobs = opt.jobs;
+            dopt.procs = a.diagProcs;
+            dopt.jobs = a.jobs;
             dopt.protocol = machine.protocol;
             dopt.dirFormat = machine.dirFormat;
-            for (const std::string& app : diagApps) {
-                try {
-                    const diagnose::AppDiagnosis d =
-                        diagnose::diagnoseApp(app, dopt);
-                    cr.verdicts.push_back(shortVerdict(d));
-                } catch (const std::invalid_argument& e) {
-                    std::fprintf(stderr, "error: %s\n", e.what());
-                    return 2;
-                }
-            }
+            for (const std::string& app : diagApps)
+                cr.verdicts.push_back(
+                    shortVerdict(diagnose::diagnoseApp(app, dopt)));
 
-            std::printf("  stress %llu/%llu ok, oracle %zu/%zu "
-                        "clean, races %zu/%zu free\n",
-                        static_cast<unsigned long long>(
-                            seeds - cr.stressFailures),
-                        static_cast<unsigned long long>(seeds),
-                        apps::listApps().size() -
-                            static_cast<std::size_t>(
-                                cr.oracleBadApps),
-                        apps::listApps().size(),
-                        apps::listApps().size() -
-                            static_cast<std::size_t>(cr.racyApps),
-                        apps::listApps().size());
+            const std::uint64_t nApps = apps::listApps().size();
+            std::printf("  stress %llu/%llu ok, oracle %llu/%llu "
+                        "clean, races %llu/%llu free\n",
+                        ull(a.seeds - cr.stressFailures), ull(a.seeds),
+                        ull(nApps - cr.oracleBadApps), ull(nApps),
+                        ull(nApps - cr.racyApps), ull(nApps));
 
-            const std::string label =
-                "protocols/" + cr.label();
+            const std::string label = "protocols/" + cr.label();
             sink.addText(label, "protocol", pn);
             sink.addText(label, "dirFormat", dn);
             sink.addCount(label, "stressFailures",
@@ -882,109 +603,73 @@ runProtocolsCmd(core::cli::Options& opt)
         return 0;
     }
     std::fprintf(stderr, "%llu/%zu combination(s) FAILED\n",
-                 static_cast<unsigned long long>(badCombos),
-                 combos.size());
+                 ull(badCombos), combos.size());
     return 1;
 }
 
 // ---- model: exhaustive reachability over the protocol engine ----
 
-int
-runModelCmd(core::cli::Options& opt)
-{
-    std::uint64_t maxStates = 1u << 20;
-    opt.takeU64("max-states", maxStates);
-
+struct ModelArgs {
     std::vector<int> procs = {2, 3, 4};
-    std::string procsList;
-    if (opt.takeFlag("procs", procsList)) {
-        std::vector<std::uint64_t> grid;
-        if (!core::cli::parseU64List(procsList, grid)) {
-            std::fprintf(stderr, "malformed --procs=%s "
-                                 "(want e.g. --procs=2,3,4)\n",
-                         procsList.c_str());
-            return usageError("model");
-        }
-        procs.clear();
-        for (std::uint64_t p : grid)
-            procs.push_back(static_cast<int>(p));
-    }
-    const bool noSymmetry = opt.takeSwitch("no-symmetry");
+    std::uint64_t maxStates = 1u << 20;
+    bool noSymmetry = false;
+    std::string json;
+    std::string mutate;
+    std::string protocol;
+    std::string dirFormat;
+};
 
-    sim::CheckMutation mutation = sim::CheckMutation::None;
-    std::string mutateName;
-    if (opt.takeFlag("mutate", mutateName)) {
-#ifndef CCNUMA_CHECK_MUTATE
-        std::fprintf(stderr,
-                     "mutation hooks not compiled in "
-                     "(build with -DCCNUMA_CHECK_MUTATE=ON)\n");
-        return 2;
-#else
-        if (mutateName == "skip-inval") {
-            mutation = sim::CheckMutation::SkipInvalidation;
-        } else if (mutateName == "drop-owned-writeback") {
-            mutation = sim::CheckMutation::DropOwnedWriteback;
-        } else if (mutateName == "corrupt-moesi-table") {
-            mutation = sim::CheckMutation::CorruptMoesiTable;
-        } else {
-            std::fprintf(stderr,
-                         "unknown --mutate=%s (want skip-inval | "
-                         "drop-owned-writeback | "
-                         "corrupt-moesi-table)\n",
-                         mutateName.c_str());
-            return usageError("model");
-        }
-#endif
-    }
-    if (!strictFinish(opt, "model"))
-        return 2;
-
+int
+runModel(const ModelArgs& a, const Command& cmd)
+{
     // A mutation only needs catching where the corrupted mechanism
     // exists: SkipInvalidation corrupts the invalidation fan-out
     // (Dragon updates instead), DropOwnedWriteback needs the Owned
     // state (MESI has none), CorruptMoesiTable zeroes a MOESI table
     // cell. --protocol narrows further to a single protocol.
+    sim::CheckMutation mutation = sim::CheckMutation::None;
     std::vector<std::string> protoSel = {"mesi", "moesi", "dragon"};
-    switch (mutation) {
-    case sim::CheckMutation::SkipInvalidation:
+    if (a.mutate == "skip-inval") {
+        mutation = sim::CheckMutation::SkipInvalidation;
         protoSel = {"mesi", "moesi"};
-        break;
-    case sim::CheckMutation::DropOwnedWriteback:
+    } else if (a.mutate == "drop-owned-writeback") {
+        mutation = sim::CheckMutation::DropOwnedWriteback;
         protoSel = {"moesi", "dragon"};
-        break;
-    case sim::CheckMutation::CorruptMoesiTable:
+    } else if (a.mutate == "corrupt-moesi-table") {
+        mutation = sim::CheckMutation::CorruptMoesiTable;
         protoSel = {"moesi"};
-        break;
-    default:
-        break;
+    } else if (!a.mutate.empty()) {
+        return core::cli::usageError(cmd, "unknown --mutate=" + a.mutate);
     }
+#ifndef CCNUMA_CHECK_MUTATE
+    if (mutation != sim::CheckMutation::None)
+        return noMutationHooks();
+#endif
     std::vector<std::string> fmtSel = {"fullbv", "coarse:4", "ptr:2"};
-    if (!opt.protocol.empty())
-        protoSel = {opt.protocol};
-    if (!opt.dirFormat.empty())
-        fmtSel = {opt.dirFormat};
+    if (!a.protocol.empty())
+        protoSel = {a.protocol};
+    if (!a.dirFormat.empty())
+        fmtSel = {a.dirFormat};
 
-    core::MetricsSink sink(opt.jsonFile);
+    core::MetricsSink sink(a.json);
     const bool mutated = mutation != sim::CheckMutation::None;
     std::uint64_t bad = 0;
     std::uint64_t combosRun = 0;
     for (const std::string& pn : protoSel) {
         for (const std::string& fn : fmtSel) {
-            for (const int p : procs) {
+            for (const int p : a.procs) {
                 model::CheckOptions o;
                 o.protocol = pn;
                 o.dirFormat = fn;
                 o.procs = p;
-                o.maxStates = maxStates;
+                o.maxStates = a.maxStates;
                 o.mutation = mutation;
-                o.symmetry = !noSymmetry;
+                o.symmetry = !a.noSymmetry;
                 const model::CheckResult r = model::runCheck(o);
-                if (r.invariant == "config") {
-                    std::fprintf(stderr, "%s x %s P=%d: %s\n",
-                                 pn.c_str(), fn.c_str(), p,
-                                 r.detail.c_str());
-                    return usageError("model");
-                }
+                if (r.invariant == "config")
+                    return core::cli::usageError(
+                        cmd, pn + " x " + fn + " P=" + std::to_string(p) +
+                                 ": " + r.detail);
                 ++combosRun;
                 std::printf("%s", model::formatResult(r).c_str());
                 model::emit(sink, r);
@@ -1001,7 +686,7 @@ runModelCmd(core::cli::Options& opt)
                         std::fprintf(stderr,
                                      "  mutation '%s' NOT caught on "
                                      "%s x %s P=%d\n",
-                                     mutateName.c_str(), pn.c_str(),
+                                     a.mutate.c_str(), pn.c_str(),
                                      fn.c_str(), p);
                     }
                 } else if (!r.ok) {
@@ -1016,55 +701,134 @@ runModelCmd(core::cli::Options& opt)
         if (mutated)
             std::printf("mutation '%s' caught on %llu/%llu "
                         "combination(s): the checker has teeth\n",
-                        mutateName.c_str(),
-                        static_cast<unsigned long long>(combosRun),
-                        static_cast<unsigned long long>(combosRun));
+                        a.mutate.c_str(), ull(combosRun), ull(combosRun));
         else
             std::printf("%llu/%llu combination(s) verified "
                         "exhaustively\n",
-                        static_cast<unsigned long long>(combosRun),
-                        static_cast<unsigned long long>(combosRun));
+                        ull(combosRun), ull(combosRun));
         return 0;
     }
     std::fprintf(stderr, "%llu/%llu combination(s) %s\n",
-                 static_cast<unsigned long long>(bad),
-                 static_cast<unsigned long long>(combosRun),
+                 ull(bad), ull(combosRun),
                  mutated ? "did NOT catch the mutation" : "FAILED");
     return 1;
 }
+
+/** One subcommand: its flags generate its usage. */
+struct Subcommand {
+    const char* name;
+    const char* summary;
+    std::vector<core::cli::Arg> flags;
+    std::function<int(const Command&)> run;
+
+    Command command() const
+    {
+        return {std::string("ccnuma_verify ") + name, summary, {}, flags};
+    }
+};
 
 } // namespace
 
 int
 main(int argc, char** argv)
 {
-    core::cli::Options opt = core::cli::parse(argc, argv);
-    // "--help" lands in unknown; a bare "-h" parses as a positional.
-    const bool helpFlag = opt.takeSwitch("help");
-    if (helpFlag ||
-        (!opt.positional.empty() &&
-         (opt.positional[0] == "help" || opt.positional[0] == "-h"))) {
-        std::printf("%s", kUsage);
-        return 0;
+    StressArgs st;
+    GoldenArgs go;
+    RacesArgs ra;
+    DiagnoseArgs di;
+    ProtocolsArgs pr;
+    ModelArgs mo;
+    const std::vector<Subcommand> commands = {
+        {"stress",
+         "randomized programs under the sequential-consistency oracle;\n"
+         "a failing seed is replayed, then shrunk to a witness",
+         {{"seed=N", &st.base.seed, "first seed (default 1)"},
+          {"seeds=K", &st.seeds, "consecutive seeds (default 1)"},
+          {"procs=P", &st.base.procs, "processors (default 8)"},
+          {"ops=N", &st.base.opsPerProc, "ops per processor (default 250)"},
+          {"shrink", &st.shrink, "shrink every failure to a witness"},
+          {"mutate", &st.mutate, "broken SkipInvalidation: must be caught"},
+          {"machine", &st.base.machine, ""}},
+         [&](const Command& c) { return runStress(st, c); }},
+        {"golden",
+         "recompute the per-app golden-metrics snapshot (default mesi +\n"
+         "fullbv machine) and diff it against, or --bless, the baseline",
+         {{"procs=P", &go.procs, "processors (default 4)"},
+          {"bless", &go.bless, "rewrite the committed baseline"},
+          {"out=FILE", &go.out, "write the snapshot to FILE"},
+          {"check=FILE", &go.check, "diff against FILE, not the baseline"}},
+         [&](const Command& c) { return runGolden(go, c); }},
+        {"races",
+         "happens-before race analysis of the registered apps, or the\n"
+         "detector's self-test with --mutate",
+         {{"app=NAME", &ra.app, "one app (default: all)"},
+          {"all", &ra.all, "every registered app"},
+          {"procs=P", &ra.procs, "processors (default 4)"},
+          {"seed=N", &ra.seed, "--mutate: first seed (default 1)"},
+          {"seeds=K", &ra.seeds, "--mutate: seeds (default 1)"},
+          {"ops=N", &ra.ops, "--mutate: ops per processor (default 250)"},
+          {"mutate", &ra.mutate, "DropLockAcquire must race; shrink it"},
+          {"json=FILE", &ra.json, "per-app detector statistics"},
+          {"machine", &ra.machine, ""}},
+         [&](const Command& c) { return runRaces(ra, c); }},
+        {"diagnose",
+         "scaling-loss diagnosis: a ranked verdict per app (locks,\n"
+         "barriers, Hub contention, placement, capacity) from a sweep",
+         {{"app=NAME", &di.app, "one app (default: all)"},
+          {"all", &di.all, "every registered app"},
+          {"procs=P1,P2,..", &di.opt.procs, "machine sizes (default 1,8,32)"},
+          {"size=N", &di.opt.size, "problem size; 0 = golden size"},
+          {"epoch-cycles=N", &di.opt.epochCycles, "0 = trace default"},
+          {"jobs=N", &di.opt.jobs, "workers (default 1); 0 = one per core"},
+          {"json=FILE", &di.json, "the verdicts as one JSON document"},
+          {"html=FILE", &di.html, "a self-contained dashboard"},
+          {"machine", &di.machine, ""}},
+         [&](const Command& c) { return runDiagnose(di, c); }},
+        {"protocols",
+         "per {mesi,moesi,dragon} x {fullbv,coarse:4,ptr:2} combination:\n"
+         "stress, all-apps oracle and races, diagnosis of --apps; a grid",
+         {{"seed=N", &pr.stress.seed, "first stress seed (default 1)"},
+          {"seeds=K", &pr.seeds, "stress seeds (default 3)"},
+          {"procs=P", &pr.stress.procs, "stress processors (default 8)"},
+          {"ops=N", &pr.stress.opsPerProc,
+           "stress ops per processor (default 150)"},
+          {"apps=A,B,..", &pr.apps, "diagnosed (default fft,ocean,radix)"},
+          {"diag-procs=P1,P2,..", &pr.diagProcs, "sizes (default 1,8,32)"},
+          {"jobs=N", &pr.jobs, "workers (default 1); 0 = one per core"},
+          {"json=FILE", &pr.json, "the grid as JSON"}},
+         [&](const Command& c) { return runProtocols(pr, c); }},
+        {"model",
+         "exhaustive model check of one line: prove the invariants on all\n"
+         "9 combinations, or catch --mutate with a short counterexample",
+         {{"procs=P1,P2,..", &mo.procs, "processor counts (default 2,3,4)"},
+          {"max-states=N", &mo.maxStates, "per check (default 1048576)"},
+          {"no-symmetry", &mo.noSymmetry, "no permutation reduction"},
+          {"json=FILE", &mo.json, "every check's result as JSON"},
+          {"mutate=M", &mo.mutate,
+           "skip-inval | drop-owned-writeback | corrupt-moesi-table"},
+          {"protocol=P", &mo.protocol, "only mesi | moesi | dragon"},
+          {"dir-format=F", &mo.dirFormat, "only fullbv | coarse:K | ptr:N"}},
+         [&](const Command& c) { return runModel(mo, c); }},
+    };
+
+    const std::string name = argc > 1 ? argv[1] : "";
+    for (const Subcommand& sub : commands) {
+        if (name != sub.name)
+            continue;
+        const Command cmd = sub.command();
+        if (const auto rc = core::cli::parse(cmd, argc - 1, argv + 1))
+            return *rc;
+        return sub.run(cmd);
     }
-    if (opt.positional.empty()) {
-        std::fprintf(stderr, "%s", kUsage);
-        return 2;
-    }
-    const std::string cmd = opt.positional[0];
-    if (cmd == "stress")
-        return runStressCmd(opt);
-    if (cmd == "golden")
-        return runGoldenCmd(opt);
-    if (cmd == "races")
-        return runRacesCmd(opt);
-    if (cmd == "diagnose")
-        return runDiagnoseCmd(opt);
-    if (cmd == "protocols")
-        return runProtocolsCmd(opt);
-    if (cmd == "model")
-        return runModelCmd(opt);
-    std::fprintf(stderr, "unknown command '%s'\n%s", cmd.c_str(),
-                 kUsage);
-    return 2;
+    const bool help = name == "help" || name == "--help" || name == "-h";
+    std::string text = "usage: ccnuma_verify <command> [flags]\n";
+    for (const Subcommand& sub : commands)
+        text += "\n" + core::cli::usage(sub.command());
+    text += "\nexit status: 0 = verified, 1 = verification failure, "
+            "2 = usage\n";
+    if (!help && !name.empty())
+        std::fprintf(stderr, "ccnuma_verify: unknown command '%s'\n",
+                     name.c_str());
+    std::fprintf(help ? stdout : stderr, "%s", text.c_str());
+    return help ? 0 : 2;
 }

@@ -1,9 +1,11 @@
 #include "core/cli.hh"
 
+#include <algorithm>
 #include <cerrno>
+#include <climits>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
+#include <utility>
 
 #include "sim/config.hh"
 
@@ -11,68 +13,165 @@ namespace ccnuma::core::cli {
 
 namespace {
 
-/// Returns the value part if `arg` is "--name=value", else nullptr.
-const char*
-flagValue(const char* arg, const char* name)
+bool
+isMachine(const Arg& a)
 {
-    const std::size_t n = std::strlen(name);
-    if (std::strncmp(arg, "--", 2) != 0 ||
-        std::strncmp(arg + 2, name, n) != 0 || arg[2 + n] != '=')
-        return nullptr;
-    return arg + 2 + n + 1;
+    return std::holds_alternative<sim::MachineConfig*>(a.target);
+}
+
+/// The entry that declares --`name`, or nullptr.
+const Arg*
+findFlag(const Command& cmd, const std::string& name)
+{
+    for (const Arg& a : cmd.flags)
+        if (isMachine(a) ? name == "protocol" || name == "dir-format"
+                         : a.name.substr(0, a.name.find('=')) == name)
+            return &a;
+    return nullptr;
+}
+
+/// Store `value` (of --`flag`, or of a positional) into a's target;
+/// false, with the target untouched, when it does not parse.
+bool
+store(const Arg& a, const std::string& flag, const std::string& value)
+{
+    if (auto* s = std::get_if<std::string*>(&a.target)) {
+        **s = value;
+        return true;
+    }
+    if (auto* u = std::get_if<std::uint64_t*>(&a.target))
+        return parseU64(value, **u);
+    if (auto* i = std::get_if<int*>(&a.target)) {
+        std::uint64_t v = 0;
+        if (!parseU64(value, v) || v > INT_MAX)
+            return false;
+        **i = static_cast<int>(v);
+        return true;
+    }
+    if (auto* l = std::get_if<std::vector<int>*>(&a.target)) {
+        std::vector<std::uint64_t> vals;
+        if (!parseU64List(value, vals) ||
+            std::any_of(vals.begin(), vals.end(),
+                        [](std::uint64_t v) { return v > INT_MAX; }))
+            return false;
+        (*l)->assign(vals.begin(), vals.end());
+        return true;
+    }
+    if (auto* v = std::get_if<std::vector<std::string>*>(&a.target)) {
+        (*v)->push_back(value);
+        return true;
+    }
+    if (auto* m = std::get_if<sim::MachineConfig*>(&a.target))
+        return flag == "protocol" ? (*m)->protocol.parse(value)
+                                  : (*m)->dirFormat.parse(value);
+    return false; // a switch takes no value
 }
 
 } // namespace
 
-std::uint64_t
-Options::positionalOr(std::size_t i, std::uint64_t fallback) const
+std::string
+usage(const Command& cmd)
 {
-    if (i >= positional.size())
-        return fallback;
-    std::uint64_t v = 0;
-    return parseU64(positional[i], v) ? v : fallback;
-}
-
-bool
-Options::takeFlag(const std::string& name, std::string& value)
-{
-    for (auto it = unknown.begin(); it != unknown.end(); ++it) {
-        if (const char* v = flagValue(it->c_str(), name.c_str())) {
-            value = v;
-            unknown.erase(it);
-            return true;
-        }
+    std::string out = "usage: " + cmd.name + " [flags]";
+    std::vector<std::pair<std::string, std::string>> rows;
+    for (const Arg& a : cmd.positionals) {
+        const bool rest =
+            std::holds_alternative<std::vector<std::string>*>(a.target);
+        out += " [" + a.name + (rest ? "...]" : "]");
+        rows.emplace_back(a.name, a.help);
     }
-    return false;
-}
-
-bool
-Options::takeSwitch(const std::string& name)
-{
-    const std::string flag = "--" + name;
-    for (auto it = unknown.begin(); it != unknown.end(); ++it) {
-        if (*it == flag) {
-            unknown.erase(it);
-            return true;
-        }
+    out += "\n";
+    for (std::size_t pos = 0; pos < cmd.summary.size();) {
+        const std::size_t nl = std::min(cmd.summary.find('\n', pos),
+                                        cmd.summary.size());
+        out += "  " + cmd.summary.substr(pos, nl - pos) + "\n";
+        pos = nl + 1;
     }
-    return false;
+    for (const Arg& a : cmd.flags) {
+        if (!isMachine(a)) {
+            rows.emplace_back("--" + a.name, a.help);
+            continue;
+        }
+        rows.emplace_back("--protocol=P",
+                          "coherence protocol: mesi | moesi | dragon");
+        rows.emplace_back("--dir-format=F",
+                          "directory sharer format: fullbv | coarse:K | "
+                          "ptr:N");
+    }
+    rows.emplace_back("-h, --help", "print this usage");
+    std::size_t width = 0;
+    for (const auto& row : rows)
+        width = std::max(width, row.first.size());
+    out += "\n";
+    for (const auto& [left, help] : rows)
+        out += "  " + left + std::string(width - left.size() + 2, ' ') +
+               help + "\n";
+    if (!cmd.footer.empty())
+        out += "\n" + cmd.footer;
+    return out;
 }
 
-bool
-Options::takeU64(const std::string& name, std::uint64_t& out)
+int
+usageError(const Command& cmd, const std::string& what)
 {
-    std::string value;
-    if (!takeFlag(name, value) || parseU64(value, out))
-        return true;
-    malformed.push_back("--" + name + "=" + value);
-    return false;
+    std::fprintf(stderr, "%s: %s\n%s", cmd.name.c_str(), what.c_str(),
+                 usage(cmd).c_str());
+    return 2;
+}
+
+std::optional<int>
+parse(const Command& cmd, int argc, char** argv)
+{
+    std::vector<std::string> errors;
+    std::size_t nextPositional = 0;
+    for (int i = 1; i < argc; ++i) {
+        const std::string arg = argv[i];
+        if (arg == "--help" || arg == "-h" || (i == 1 && arg == "help")) {
+            std::printf("%s", usage(cmd).c_str());
+            return 0;
+        }
+        if (arg.rfind("--", 0) != 0) {
+            if (nextPositional == cmd.positionals.size()) {
+                errors.push_back("unexpected argument '" + arg + "'");
+                continue;
+            }
+            const Arg& a = cmd.positionals[nextPositional];
+            if (!std::holds_alternative<std::vector<std::string>*>(
+                    a.target))
+                ++nextPositional;
+            if (!store(a, a.name, arg))
+                errors.push_back("malformed " + a.name + " '" + arg +
+                                 "'");
+            continue;
+        }
+        const std::size_t eq = arg.find('=');
+        const std::string name = arg.substr(2, eq - 2);
+        const Arg* a = findFlag(cmd, name);
+        const bool isSwitch = a && std::holds_alternative<bool*>(a->target);
+        if (!a)
+            errors.push_back("unknown flag " + arg);
+        else if (isSwitch && eq != std::string::npos)
+            errors.push_back("--" + name + " takes no value");
+        else if (isSwitch)
+            *std::get<bool*>(a->target) = true;
+        else if (eq == std::string::npos)
+            errors.push_back("--" + name + " needs a value");
+        else if (!store(*a, name, arg.substr(eq + 1)))
+            errors.push_back("malformed value in " + arg);
+    }
+    if (errors.empty())
+        return std::nullopt;
+    for (const std::string& e : errors)
+        std::fprintf(stderr, "%s: %s\n", cmd.name.c_str(), e.c_str());
+    std::fprintf(stderr, "%s", usage(cmd).c_str());
+    return 2;
 }
 
 bool
 parseU64(const std::string& text, std::uint64_t& out)
 {
-    if (text.empty() || text[0] == '-' || text[0] == '+')
+    // strtoull would skip leading blanks and negate a '-'.
+    if (text.empty() || text[0] < '0' || text[0] > '9')
         return false;
     errno = 0;
     char* end = nullptr;
@@ -86,125 +185,17 @@ parseU64(const std::string& text, std::uint64_t& out)
 bool
 parseU64List(const std::string& text, std::vector<std::uint64_t>& out)
 {
-    if (text.empty())
-        return false;
     std::vector<std::uint64_t> vals;
-    std::size_t begin = 0;
-    while (begin <= text.size()) {
-        std::size_t comma = text.find(',', begin);
-        if (comma == std::string::npos)
-            comma = text.size();
-        std::uint64_t v = 0;
-        if (!parseU64(text.substr(begin, comma - begin), v))
+    for (std::size_t begin = 0; begin <= text.size();) {
+        const std::size_t comma =
+            std::min(text.find(',', begin), text.size());
+        if (!parseU64(text.substr(begin, comma - begin),
+                      vals.emplace_back()))
             return false;
-        vals.push_back(v);
         begin = comma + 1;
     }
     out = std::move(vals);
     return true;
-}
-
-Options
-parse(int argc, char** argv)
-{
-    Options opt;
-
-    // A malformed numeric value keeps the default and is reported:
-    // silently treating "--jobs=abc" as 0 would silently change the
-    // thread count.
-    auto setU64 = [&opt](const std::string& flag, const char* text,
-                         std::uint64_t& field) {
-        std::uint64_t v = 0;
-        if (parseU64(text, v))
-            field = v;
-        else
-            opt.malformed.push_back(flag + "=" + text);
-    };
-    auto setInt = [&opt](const std::string& flag, const char* text,
-                         int& field) {
-        std::uint64_t v = 0;
-        if (parseU64(text, v) && v <= 1u << 20)
-            field = static_cast<int>(v);
-        else
-            opt.malformed.push_back(flag + "=" + text);
-    };
-
-    // parse() runs once at startup, before any StudyRunner thread
-    // exists, so the non-reentrant getenv is race-free here.
-    // NOLINTBEGIN(concurrency-mt-unsafe)
-    if (const char* env = std::getenv("CCNUMA_TRACE"))
-        opt.traceFile = env;
-    if (const char* env = std::getenv("CCNUMA_JSON"))
-        opt.jsonFile = env;
-    if (const char* env = std::getenv("CCNUMA_JOBS"))
-        setInt("CCNUMA_JOBS", env, opt.jobs);
-    if (const char* env = std::getenv("CCNUMA_SEED"))
-        setU64("CCNUMA_SEED", env, opt.seed);
-    if (const char* env = std::getenv("CCNUMA_EPOCH"))
-        setU64("CCNUMA_EPOCH", env, opt.epochCycles);
-    if (const char* env = std::getenv("CCNUMA_PROTOCOL"))
-        opt.protocol = env;
-    if (const char* env = std::getenv("CCNUMA_DIR"))
-        opt.dirFormat = env;
-    // NOLINTEND(concurrency-mt-unsafe)
-
-    for (int i = 1; i < argc; ++i) {
-        const char* arg = argv[i];
-        if (const char* trace = flagValue(arg, "trace"))
-            opt.traceFile = trace;
-        else if (const char* json = flagValue(arg, "json"))
-            opt.jsonFile = json;
-        else if (const char* jobs = flagValue(arg, "jobs"))
-            setInt("--jobs", jobs, opt.jobs);
-        else if (const char* seed = flagValue(arg, "seed"))
-            setU64("--seed", seed, opt.seed);
-        else if (const char* epoch = flagValue(arg, "epoch-cycles"))
-            setU64("--epoch-cycles", epoch, opt.epochCycles);
-        else if (const char* proto = flagValue(arg, "protocol"))
-            opt.protocol = proto;
-        else if (const char* dir = flagValue(arg, "dir-format"))
-            opt.dirFormat = dir;
-        else if (std::strncmp(arg, "--", 2) == 0)
-            opt.unknown.emplace_back(arg);
-        else
-            opt.positional.emplace_back(arg);
-    }
-    return opt;
-}
-
-bool
-applyMachine(Options& opt, sim::MachineConfig& cfg)
-{
-    bool ok = true;
-    if (!opt.protocol.empty() && !cfg.protocol.parse(opt.protocol)) {
-        opt.malformed.push_back("--protocol=" + opt.protocol +
-                                " (want mesi|moesi|dragon)");
-        ok = false;
-    }
-    if (!opt.dirFormat.empty() && !cfg.dirFormat.parse(opt.dirFormat)) {
-        opt.malformed.push_back("--dir-format=" + opt.dirFormat +
-                                " (want fullbv|coarse:K|ptr:N)");
-        ok = false;
-    }
-    return ok;
-}
-
-bool
-warnUnknown(const Options& opt)
-{
-    for (const std::string& f : opt.malformed)
-        std::fprintf(stderr,
-                     "warning: malformed value in %s "
-                     "(keeping the default)\n",
-                     f.c_str());
-    for (const std::string& f : opt.unknown)
-        std::fprintf(stderr,
-                     "warning: unknown flag %s (known: --trace=FILE "
-                     "--json=FILE --jobs=N --seed=N "
-                     "--epoch-cycles=N --protocol=P "
-                     "--dir-format=F)\n",
-                     f.c_str());
-    return opt.unknown.empty() && opt.malformed.empty();
 }
 
 } // namespace ccnuma::core::cli

@@ -1,44 +1,37 @@
 /**
  * @file
- * Shared command-line handling for the example binaries and ccnuma_paper.
- * Every driver understands the same flags:
+ * The one command-line parser of every driver. A driver (or a
+ * ccnuma_verify subcommand) declares a cli::Command: its positionals
+ * and its flags, each an `{name, target, help}` entry whose target's
+ * type is its kind:
  *
- *   --trace=FILE   capture + export an observability trace
- *                  (env fallback: CCNUMA_TRACE)
- *   --json=FILE    dump machine-readable metrics via core::MetricsSink
- *                  (env fallback: CCNUMA_JSON)
- *   --jobs=N       StudyRunner worker threads; 0 = one per host core
- *                  (env fallback: CCNUMA_JOBS)
- *   --seed=N       seed for randomized components (mapping
- *                  permutations, stress programs); env fallback:
- *                  CCNUMA_SEED
- *   --epoch-cycles=N  epoch length for interval metrics, in cycles
- *                  (0 = the TraceConfig default); tunes the time
- *                  resolution of epoch series and dashboards without
- *                  recompiling. Env fallback: CCNUMA_EPOCH
- *   --protocol=P   coherence protocol: mesi | moesi | dragon
- *                  (env fallback: CCNUMA_PROTOCOL)
- *   --dir-format=F directory sharer format: fullbv | coarse:K | ptr:N
- *                  (env fallback: CCNUMA_DIR)
+ *   std::string*               --name=TEXT (the last one wins)
+ *   std::uint64_t*             --name=N, strict decimal
+ *   int*                       --name=N, strict decimal <= INT_MAX
+ *   std::vector<int>*          --name=1,8,32, each element as for int
+ *   bool*                      bare --name; a value is an error
+ *   std::vector<std::string>*  --name=TEXT, appended per occurrence
+ *   sim::MachineConfig*        --protocol=P and --dir-format=F, parsed
+ *                              into cfg.protocol / cfg.dirFormat
  *
- * The protocol/directory selections are applied to a
- * sim::MachineConfig with applyMachine(); a value that does not parse
- * is reported through `malformed` and the machine default is kept.
- *
- * Flags beat environment variables. Numeric flag values are parsed
- * strictly: a malformed value (e.g. --jobs=abc) is reported in
- * `malformed` and the default is kept — warnUnknown() surfaces both
- * malformed values and unrecognized flags. Anything else starting with
- * "--" is collected in `unknown` (drivers with extra flags consume
- * them via takeFlag()/takeSwitch()/takeU64() before calling
- * warnUnknown()); bare words are positional arguments.
+ * A positional takes a string, u64, int or (last, variadic) string
+ * vector target; every positional is optional, so its target's initial
+ * value is its default. parse() either fills the targets or rejects the
+ * whole command line: an unknown flag, a flag this command does not
+ * declare, a malformed or overflowing value, a value on a switch, and a
+ * surplus or malformed positional each print the error and the usage
+ * generated from the table to stderr, and the driver exits 2.
+ * `--help`, `-h` and a leading `help` print the same usage to stdout
+ * and exit 0. No driver reads its environment.
  */
 
 #ifndef CCNUMA_CORE_CLI_HH
 #define CCNUMA_CORE_CLI_HH
 
 #include <cstdint>
+#include <optional>
 #include <string>
+#include <variant>
 #include <vector>
 
 namespace ccnuma::sim {
@@ -47,51 +40,41 @@ struct MachineConfig;
 
 namespace ccnuma::core::cli {
 
-struct Options {
-    std::string traceFile;
-    std::string jsonFile;
-    int jobs = 1;
-    std::uint64_t seed = 1;
-    /// Epoch length override for interval metrics; 0 = keep the
-    /// sim::TraceConfig default (drivers apply it to
-    /// cfg.trace.epochCycles when non-zero).
-    std::uint64_t epochCycles = 0;
-    /// Coherence protocol name ("mesi" | "moesi" | "dragon"); empty =
-    /// keep the MachineConfig default. Applied by applyMachine().
-    std::string protocol;
-    /// Directory format ("fullbv" | "coarse:K" | "ptr:N"); empty =
-    /// keep the MachineConfig default. Applied by applyMachine().
-    std::string dirFormat;
-    std::vector<std::string> positional;
-    std::vector<std::string> unknown;
-    /// Flags whose numeric value did not parse ("--jobs=abc"); the
-    /// field keeps its default when this happens.
-    std::vector<std::string> malformed;
+using Target =
+    std::variant<std::string*, std::uint64_t*, int*, std::vector<int>*,
+                 bool*, std::vector<std::string>*, sim::MachineConfig*>;
 
-    /// positional[i] or `fallback` when absent.
-    std::string positionalOr(std::size_t i,
-                             const std::string& fallback) const
-    {
-        return i < positional.size() ? positional[i] : fallback;
-    }
-    /// positional[i] parsed as u64, or `fallback` when absent.
-    std::uint64_t positionalOr(std::size_t i,
-                               std::uint64_t fallback) const;
-
-    /// Consume "--name=value" from `unknown`: removes it and returns
-    /// true with `value` set. Drivers with extra flags call this
-    /// before warnUnknown().
-    bool takeFlag(const std::string& name, std::string& value);
-    /// Consume a bare "--name" switch from `unknown`.
-    bool takeSwitch(const std::string& name);
-    /// Consume "--name=N" as a u64 into `out`; true when the flag is
-    /// absent or well formed. A malformed value keeps `out`, goes into
-    /// `malformed` (so warnUnknown() reports it) and returns false.
-    bool takeU64(const std::string& name, std::uint64_t& out);
+/** One declared positional or flag. */
+struct Arg {
+    /// Flag name without "--", or a positional's name. An optional
+    /// "=META" suffix names the value in the usage ("json=FILE"). A
+    /// MachineConfig entry ("machine") declares --protocol and
+    /// --dir-format, with fixed help; its own name and help are unused.
+    std::string name;
+    Target target;
+    std::string help;
 };
 
-/// Parse argv (argv[0] skipped) with environment-variable fallbacks.
-Options parse(int argc, char** argv);
+/** A driver's (or subcommand's) whole command line. */
+struct Command {
+    std::string name;    ///< As typed: "ccnuma_verify stress".
+    std::string summary; ///< Printed under the usage line.
+    std::vector<Arg> positionals;
+    std::vector<Arg> flags;
+    std::string footer = {}; ///< Printed after the flag table.
+};
+
+/// Parse argv (argv[0] skipped) against `cmd`. nullopt: every target
+/// is filled, run the driver. Otherwise the driver returns the value:
+/// 0 after printing the usage for help, 2 after a rejected argument.
+std::optional<int> parse(const Command& cmd, int argc, char** argv);
+
+/// The usage text generated from `cmd`'s table.
+std::string usage(const Command& cmd);
+
+/// Print "<cmd.name>: <what>" and the usage to stderr; returns 2. For
+/// errors only the driver can see, such as exclusive flags.
+int usageError(const Command& cmd, const std::string& what);
 
 /// Strict u64 parse of a full string; returns false on any trailing
 /// garbage, sign, overflow or empty input.
@@ -102,17 +85,6 @@ bool parseU64(const std::string& text, std::uint64_t& out);
 /// element or empty input.
 bool parseU64List(const std::string& text,
                   std::vector<std::uint64_t>& out);
-
-/// Apply the --protocol / --dir-format selections to `cfg`
-/// (cfg.protocol / cfg.dirFormat). A value that does not parse keeps
-/// the machine default and is appended to opt.malformed, so a later
-/// warnUnknown() surfaces it; returns false in that case. Call once
-/// per driver, before warnUnknown().
-bool applyMachine(Options& opt, sim::MachineConfig& cfg);
-
-/// Print a warning per unknown flag and per malformed numeric value;
-/// returns true if there were none of either.
-bool warnUnknown(const Options& opt);
 
 } // namespace ccnuma::core::cli
 

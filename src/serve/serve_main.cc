@@ -4,9 +4,7 @@
  * until SIGINT/SIGTERM or a client "shutdown" request, then drain and
  * exit 0.
  *
- *   ccnuma_serve [--port=N] [--host=A] [--unix=PATH] [--workers=N]
- *                [--jobs=N] [--max-queue=N] [--cache=N]
- *                [--max-request-bytes=N]
+ *   ccnuma_serve [flags]    (`--help` lists them)
  *
  * Prints exactly one "listening on ..." line to stdout once ready
  * (scripts block on it), then serves. See serve/wire.hh for the
@@ -37,32 +35,27 @@ main(int argc, char** argv)
 {
     using namespace ccnuma;
 
-    core::cli::Options opt = core::cli::parse(argc, argv);
     serve::ServerOptions so;
-    so.jobs = opt.jobs;
-
-    std::string value;
-    if (opt.takeFlag("host", value))
-        so.host = value;
-    if (opt.takeFlag("unix", value))
-        so.unixPath = value;
-    std::uint64_t port = 0;
-    auto workers = static_cast<std::uint64_t>(so.workers);
-    opt.takeU64("port", port);
-    opt.takeU64("workers", workers);
-    opt.takeU64("max-queue", so.maxQueue);
-    opt.takeU64("cache", so.cacheEntries);
-    opt.takeU64("max-request-bytes", so.maxRequestBytes);
-    // An unknown flag only warns; a malformed number is fatal.
-    core::cli::warnUnknown(opt);
-    if (!opt.malformed.empty())
-        return 2;
-    if (port > 65535) {
-        std::fprintf(stderr, "ccnuma_serve: bad --port value\n");
-        return 2;
-    }
-    so.port = static_cast<int>(port);
-    so.workers = static_cast<int>(workers);
+    so.jobs = 1;
+    const core::cli::Command cmd{
+        "ccnuma_serve",
+        "serve simulation requests until SIGINT/SIGTERM or a shutdown "
+        "request",
+        {},
+        {{"port=N", &so.port, "TCP port; 0 = an ephemeral port"},
+         {"host=A", &so.host, "address to bind (default 127.0.0.1)"},
+         {"unix=PATH", &so.unixPath, "serve a Unix socket instead of TCP"},
+         {"workers=N", &so.workers, "queue-draining threads (default 2)"},
+         {"jobs=N", &so.jobs,
+          "StudyRunner threads (default 1); 0 = one per host core"},
+         {"max-queue=N", &so.maxQueue, "admission queue bound (default 64)"},
+         {"cache=N", &so.cacheEntries, "result cache entries (default 128)"},
+         {"max-request-bytes=N", &so.maxRequestBytes,
+          "per-line request size limit (default 4 MiB)"}}};
+    if (const auto rc = core::cli::parse(cmd, argc, argv))
+        return *rc;
+    if (so.port > 65535)
+        return core::cli::usageError(cmd, "bad --port value");
 
     std::signal(SIGINT, onSignal);
     std::signal(SIGTERM, onSignal);

@@ -119,6 +119,23 @@ TEST(Registry, MakeAppErrorListsValidNames)
     }
 }
 
+TEST(Registry, MakeAppRejectsSizesAnIntCannotHold)
+{
+    // These configs hold the size in an int: 2^32 + 64 would wrap to
+    // 64 and 2^31 to a negative side.
+    const std::uint64_t wraps[] = {std::uint64_t{1} << 31,
+                                   (std::uint64_t{1} << 32) + 64};
+    for (const char* name :
+         {"raytrace", "raytrace-nostatslock", "volrend",
+          "volrend-balanced", "shearwarp", "shearwarp-locality", "infer",
+          "infer-static", "protein", "protein-noregroup"}) {
+        for (const std::uint64_t size : wraps)
+            EXPECT_THROW(apps::makeApp(name, size), std::invalid_argument)
+                << name << " size " << size;
+        EXPECT_NE(apps::makeApp(name, 64), nullptr) << name;
+    }
+}
+
 class AppRuns : public ::testing::TestWithParam<std::string>
 {
 };

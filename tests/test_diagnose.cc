@@ -193,8 +193,9 @@ TEST(Diagnose, SyncWaitPartitionIsExact)
     for (const diagnose::CauseScore& c : d.ranked)
         if (c.lostCycles > 0)
             positive += c.share;
-    if (positive > 0)
+    if (positive > 0) {
         EXPECT_NEAR(positive, 1.0, 1e-9);
+    }
 }
 
 TEST(Diagnose, UnknownAppThrowsWithNameList)

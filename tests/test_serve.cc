@@ -396,6 +396,30 @@ TEST(Serve, SimFailureDoesNotPoisonTheCache)
     server.stop();
 }
 
+TEST(Serve, OversizedAppSizeIsSimFailedAndNotCached)
+{
+    // raytrace holds its image side in an int; 2^31 and 2^32 + 64 must
+    // fail the study, not wrap into a different (cached) problem.
+    serve::Server server(testOptions());
+    server.start();
+    TestClient c(server.port());
+    for (const char* size : {"2147483648", "4294967360"}) {
+        for (int i = 0; i < 2; ++i) {
+            const json::Value r = parseResponse(c.roundTrip(
+                std::string(R"({"id":"w","type":"study","app":"raytrace",)") +
+                R"("size":)" + size + R"(,"procs":[2]})"));
+            EXPECT_FALSE(isOk(r)) << size;
+            EXPECT_EQ(field(r, "error"), "sim-failed") << size;
+            EXPECT_NE(field(r, "detail").find("exceeds"), std::string::npos)
+                << field(r, "detail");
+        }
+    }
+    EXPECT_EQ(server.stats().simFailed, 4u);
+    EXPECT_EQ(server.stats().simsRun, 4u) << "a failure is never cached";
+    EXPECT_EQ(server.stats().cacheHits, 0u);
+    server.stop();
+}
+
 TEST(Serve, OutOfRangePlaceIsTypedErrorAndServerSurvives)
 {
     serve::Server server(testOptions());
