@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <cassert>
+#include <cstdio>
 #include <stdexcept>
 
 namespace ccnuma::sim {
@@ -28,6 +29,7 @@ Cache::Cache(std::uint64_t bytes, int assoc, std::uint32_t line_bytes,
     sets_ = bytes / (static_cast<std::uint64_t>(line_bytes) * assoc);
     if (sets_ == 0 || (sets_ & (sets_ - 1)) != 0)
         throw std::invalid_argument("cache set count must be a power of 2");
+    setShift_ = std::countr_zero(sets_);
     ways_ = std::make_unique_for_overwrite<Way[]>(
         sets_ * static_cast<std::uint64_t>(assoc_));
     setInit_.assign((sets_ + 63) / 64, 0);
@@ -97,6 +99,24 @@ Cache::fillFresh(std::uint64_t set, Way way)
     Way* base = &ways_[set * assoc_];
     base[0] = way;
     std::fill(base + 1, base + assoc_, Way{0});
+}
+
+Addr
+Cache::maxAddr() const
+{
+    const int bits = kTagBits + setShift_ + lineShift_;
+    return bits >= 64 ? ~Addr{0} : (Addr{1} << bits) - 1;
+}
+
+void
+Cache::throwOutOfRange(Addr addr) const
+{
+    char buf[96];
+    std::snprintf(buf, sizeof buf,
+                  "Cache: address %#llx is beyond the tag range (max %#llx)",
+                  static_cast<unsigned long long>(addr),
+                  static_cast<unsigned long long>(maxAddr()));
+    throw std::out_of_range(buf);
 }
 
 std::uint64_t

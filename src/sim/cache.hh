@@ -44,7 +44,10 @@ struct CacheResult {
 
 /**
  * One processor's L2 cache. Addresses are full byte addresses; the cache
- * works internally on line numbers (addr >> lineShift).
+ * works internally on line numbers (addr >> lineShift), each split into
+ * a set index and a tag. A tag has kTagBits bits, so the cache holds
+ * addresses up to maxAddr() (2^51 - 1 for the Origin L2); an access or
+ * install beyond it throws std::out_of_range.
  */
 class Cache
 {
@@ -60,12 +63,19 @@ class Cache
     Cache(std::uint64_t bytes, int assoc, std::uint32_t line_bytes,
           const Protocol* proto = nullptr);
 
+    /// Bits of a way's tag: a way is 32 bits, two of them the state.
+    static constexpr int kTagBits = 30;
+
     /// Look up a line; allocates (Shared on read, Dirty on write) on
     /// miss. Inlined into MemSys::access, the simulator's hottest loop;
     /// GCC's -O2 size estimate sits at its implicit-inlining limit.
+    /// @throws std::out_of_range if `addr` > maxAddr(); the cache is
+    ///         left unchanged.
     [[gnu::always_inline]] CacheResult access(Addr addr, bool is_write);
 
-    /// Probe without side effects.
+    /// Probe without side effects. An address beyond maxAddr() is
+    /// never resident, so the probe, invalidate(), downgrade() and
+    /// setState() never find it.
     LineState probe(Addr addr) const;
 
     /// Invalidate a line if present (due to a remote write). The way
@@ -85,13 +95,18 @@ class Cache
     void setState(Addr addr, LineState st);
 
     /// Install a line in the given state, e.g. by a prefetch.
-    /// Returns eviction info like access().
+    /// Returns eviction info like access(), and throws like it.
     CacheResult install(Addr addr, LineState st);
 
     std::uint64_t lineOf(Addr addr) const { return addr >> lineShift_; }
     std::uint32_t lineBytes() const { return 1u << lineShift_; }
     std::uint64_t numSets() const { return sets_; }
     int assoc() const { return assoc_; }
+
+    /// The highest byte address whose tag fits in kTagBits:
+    /// 2^(kTagBits + log2 sets + log2 line bytes) - 1, or the top of
+    /// the address space when that reaches 2^64.
+    Addr maxAddr() const;
 
     /// Number of valid lines currently resident (for tests).
     std::uint64_t residentLines() const;
@@ -104,11 +119,11 @@ class Cache
         // Only initialised sets hold lines; visit them in set order.
         for (std::size_t i = 0; i < setInit_.size(); ++i) {
             for (std::uint64_t bits = setInit_[i]; bits; bits &= bits - 1) {
-                const Way* set =
-                    &ways_[(i * 64 + std::countr_zero(bits)) * assoc_];
+                const std::uint64_t s = i * 64 + std::countr_zero(bits);
+                const Way* set = &ways_[s * assoc_];
                 for (int w = 0; w < assoc_; ++w)
                     if (stateOf(set[w]) != LineState::Invalid)
-                        fn((set[w] >> 2) << lineShift_, stateOf(set[w]));
+                        fn(addrOf(set[w], s), stateOf(set[w]));
             }
         }
     }
@@ -122,18 +137,20 @@ class Cache
     /// and host-independent, unlike the pages the array occupies.
     std::uint64_t touchedSets() const;
 
-    /// One way: `(line << 2) | state`; an invalid way is all zero
-    /// bits. A set is kept in recency order, most recent first, invalid
-    /// ways last: a hit moves its way to the front, a fill replaces the
-    /// last way (an invalid one if any, else the LRU line) and moves it
-    /// to the front, and invalidate() moves a way to the back. The
-    /// array is allocated uninitialised: a set holds garbage until its
-    /// bit in setInit_ is set, so building a cache costs O(sets / 64),
-    /// not O(capacity) — a 4 MB L2 is 256 KB of ways, 64 MB per p256
+    /// One way: `(tag << 2) | state`, where the tag is the line number
+    /// without its set-index bits (`line >> log2 sets`); the way's set
+    /// gives those back. An invalid way is all zero bits. A set is kept
+    /// in recency order, most recent first, invalid ways last: a hit
+    /// moves its way to the front, a fill replaces the last way (an
+    /// invalid one if any, else the LRU line) and moves it to the
+    /// front, and invalidate() moves a way to the back. The array is
+    /// allocated uninitialised: a set holds garbage until its bit in
+    /// setInit_ is set, so building a cache costs O(sets / 64), not
+    /// O(capacity) — a 4 MB L2 is 128 KB of ways, 32 MB per p256
     /// machine, of which small runs reach a sliver. (Zeroed memory is
     /// no substitute: once glibc's dynamic mmap threshold rises past
     /// the array size, calloc memsets recycled heap in full.)
-    using Way = std::uint64_t;
+    using Way = std::uint32_t;
 
   private:
     static LineState
@@ -152,18 +169,31 @@ class Cache
         return line & (sets_ - 1);
     }
 
+    /// `line` without its set-index bits; it fits a Way when
+    /// `tagOf(line) >> kTagBits` is zero.
+    std::uint64_t tagOf(std::uint64_t line) const
+    {
+        return line >> setShift_;
+    }
+
+    /// Base address of the line a valid way `w` of set `set` holds.
+    Addr addrOf(Way w, std::uint64_t set) const
+    {
+        return ((std::uint64_t{w} >> 2 << setShift_) | set) << lineShift_;
+    }
+
     bool
     setInitialised(std::uint64_t set) const
     {
         return (setInit_[set >> 6] >> (set & 63)) & 1;
     }
 
-    /// Index of the valid way holding `line` in `base`, or -1. A way
-    /// matches when it XORs with `line << 2` to a nonzero state alone.
+    /// Index of the valid way in `base` holding `key` = `tag << 2`,
+    /// or -1. A way matches when it XORs with `key` to a nonzero state
+    /// alone.
     int
-    wayOf(const Way* base, std::uint64_t line) const
+    wayOf(const Way* base, Way key) const
     {
-        const Way key = line << 2;
         for (int w = 0; w < assoc_; ++w)
             if ((base[w] ^ key) - 1 < 3)
                 return w;
@@ -171,15 +201,17 @@ class Cache
     }
 
     /// The valid way holding `line`, or nullptr. A set whose bit is
-    /// clear holds no line.
+    /// clear holds no line, nor can any set hold a tag that does not
+    /// fit.
     Way*
     find(std::uint64_t line) const
     {
         const std::uint64_t set = setIndex(line);
-        if (!setInitialised(set))
+        const std::uint64_t tag = tagOf(line);
+        if (!setInitialised(set) || tag >> kTagBits)
             return nullptr;
         Way* base = &ways_[set * assoc_];
-        const int w = wayOf(base, line);
+        const int w = wayOf(base, static_cast<Way>(tag << 2));
         return w < 0 ? nullptr : base + w;
     }
 
@@ -197,22 +229,27 @@ class Cache
     /// Shared body of access() and install(). A hit passes its way to
     /// `on_hit`, which may set r.upgrade and returns the way's new
     /// value; a miss evicts the last way (an invalid way reports victim
-    /// 0 in state Invalid) for `line` in state `fill`. A hit on the
-    /// front way that changes nothing writes nothing. A set not yet
-    /// initialised holds nothing: the access is a miss with no victim,
-    /// filled without reading the set.
+    /// 0 in state Invalid, not the address its zero tag would give) for
+    /// `line` in state `fill`. A hit on the front way that changes
+    /// nothing writes nothing. A set not yet initialised holds nothing:
+    /// the access is a miss with no victim, filled without reading the
+    /// set. A tag that does not fit throws before anything changes.
     template <typename OnHit>
     [[gnu::always_inline]] CacheResult
     use(Addr addr, LineState fill, OnHit on_hit)
     {
         const std::uint64_t line = lineOf(addr);
         const std::uint64_t set = setIndex(line);
+        const std::uint64_t tag = tagOf(line);
+        if (tag >> kTagBits) [[unlikely]]
+            throwOutOfRange(addr);
+        const Way key = static_cast<Way>(tag << 2);
         if (!setInitialised(set)) [[unlikely]] {
-            fillFresh(set, withState(line << 2, fill));
+            fillFresh(set, withState(key, fill));
             return {};
         }
         Way* base = &ways_[set * assoc_];
-        int w = wayOf(base, line);
+        int w = wayOf(base, key);
         CacheResult r;
         Way v = 0;
         if (w >= 0) {
@@ -222,15 +259,17 @@ class Cache
                 return r;
         } else {
             w = assoc_ - 1;
-            r.victim = (base[w] >> 2) << lineShift_;
-            r.victimState = stateOf(base[w]);
-            v = withState(line << 2, fill);
+            const Way old = base[w];
+            r.victim = old ? addrOf(old, set) : 0;
+            r.victimState = stateOf(old);
+            v = withState(key, fill);
         }
         toFront(base, w, v);
         return r;
     }
 
     int lineShift_;
+    int setShift_ = 0; ///< log2(sets_)
     std::uint64_t sets_ = 0;
     int assoc_;
     std::unique_ptr<Way[]> ways_; ///< sets_*assoc_, set-major.
@@ -248,6 +287,10 @@ class Cache
     /// first touch is rare, and inlined set initialisation slowed
     /// sim-hot by ≈7%.
     void fillFresh(std::uint64_t set, Way way);
+
+    /// Throw std::out_of_range for `addr`, whose tag does not fit. Out
+    /// of line, so the throw adds one branch to access(), not its body.
+    [[noreturn]] void throwOutOfRange(Addr addr) const;
 };
 
 inline CacheResult

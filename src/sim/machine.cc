@@ -42,7 +42,12 @@ Machine::alloc(std::uint64_t bytes)
     const Addr a = nextAddr_;
     const std::uint64_t page = cfg_.pageBytes;
     const std::uint64_t pages = bytes / page + (bytes % page != 0);
-    if (pages > (std::numeric_limits<Addr>::max() - a) / page)
+    // Every heap address must fit the caches' tag range, so the heap
+    // ends at most one past its top; the cap keeps `top + 1` from
+    // wrapping when the range covers the whole address space.
+    const Addr top = std::min(mem_.cache(0).maxAddr(),
+                              std::numeric_limits<Addr>::max() - 1);
+    if (pages > (top + 1 - a) / page)
         throw std::overflow_error(
             "Machine::alloc: " + std::to_string(bytes) +
             " bytes overflow the simulated address space");

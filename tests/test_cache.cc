@@ -11,19 +11,23 @@
 #include <new>
 #include <random>
 #include <set>
+#include <stdexcept>
 #include <utility>
 #include <vector>
 
 #include "sim/cache.hh"
+#include "sim/machine.hh"
 
 using namespace ccnuma::sim;
 
-// One 8-byte word per way, (line << 2) | state: a 4 MB, 2-way L2 is
-// 256 KB of way state.
-static_assert(sizeof(Cache::Way) == 8);
+// One 4-byte word per way, (tag << 2) | state: a 4 MB, 2-way L2 is
+// 128 KB of way state.
+static_assert(sizeof(Cache::Way) == 4);
 
 namespace {
 constexpr std::uint32_t kLine = 128;
+/// The largest tag a way holds.
+constexpr std::uint64_t kTopTag = (std::uint64_t{1} << Cache::kTagBits) - 1;
 } // namespace
 
 TEST(Cache, MissThenHit)
@@ -215,6 +219,26 @@ TEST(Cache, FreshSetMissHasNoVictim)
     }
 }
 
+TEST(Cache, InvalidVictimReportsAddressZero)
+{
+    // An invalid way rebuilt from its zero tag would name the first
+    // line of its set; a miss that takes it reports no victim instead.
+    Cache c(8 << 10, 2, kLine);
+    const Addr stride = c.numSets() * kLine;
+    const Addr a = 5 * kLine, b = a + stride, d = a + 2 * stride;
+    c.access(a, false);
+    const CacheResult fresh_way = c.access(b, false);
+    EXPECT_EQ(fresh_way.victim, 0u);
+    EXPECT_EQ(fresh_way.victimState, LineState::Invalid);
+    EXPECT_EQ(c.invalidate(b), LineState::Shared);
+    const CacheResult freed_way = c.access(d, true);
+    EXPECT_EQ(freed_way.victim, 0u);
+    EXPECT_EQ(freed_way.victimState, LineState::Invalid);
+    const CacheResult lru = c.access(b, false);
+    EXPECT_EQ(lru.victim, a);
+    EXPECT_EQ(lru.victimState, LineState::Shared);
+}
+
 TEST(Cache, ResidentCountTracksEvictions)
 {
     Cache c(2 * kLine, 2, kLine); // one set, two ways
@@ -384,7 +408,9 @@ expectSameResult(const CacheResult& got, const CacheResult& want)
 /// Drive `c` and a RefCache of the same geometry through one seeded
 /// random sequence, comparing every result and the full contents after
 /// each op. Addresses come from a few sets with more tags than ways, so
-/// sets fill, evict and get invalidated. Besides the random resets,
+/// sets fill, evict and get invalidated; half the tags are the lowest
+/// and half the highest a way holds, so rebuilt victim and line
+/// addresses reach the top of the tag range. Besides the random resets,
 /// both caches are reset every `reset_every` ops (0: never), so sets
 /// holding stale ways are filled fresh again.
 void
@@ -400,7 +426,9 @@ runDifferential(Cache& c, std::uint64_t seed, int ops, int reset_every = 0)
     const std::uint64_t n_tags = 3 * c.assoc() + 1;
     auto addr = [&] {
         const std::uint64_t set = hot_sets[rng() % hot_sets.size()];
-        const std::uint64_t line = (rng() % n_tags) * c.numSets() + set;
+        const std::uint64_t i = rng() % n_tags;
+        const std::uint64_t tag = i % 2 ? kTopTag - i / 2 : i / 2;
+        const std::uint64_t line = tag * c.numSets() + set;
         return line * c.lineBytes() + rng() % c.lineBytes();
     };
     constexpr LineState kFill[] = {LineState::Shared, LineState::Dirty,
@@ -508,4 +536,68 @@ TEST(CacheDifferential, RecycledGarbageBacksAFreshCache)
     for (std::uint64_t set = 0; set < c.numSets(); set += 97)
         EXPECT_EQ(c.probe(set * kLine), LineState::Invalid);
     runDifferential(c, 7, 4000);
+}
+
+TEST(Cache, TagOutOfRangeThrowsAndChangesNothing)
+{
+    Cache c(4 << 20, 2, kLine); // the Origin L2: 2^14 sets
+    const Addr top = c.maxAddr();
+    ASSERT_EQ(top, (Addr{1} << 51) - 1);
+    const Addr low = 3 * kLine;         // tag 0
+    const Addr high = top - kLine + 1;  // tag 2^30 - 1, the last set
+    EXPECT_FALSE(c.access(low, true).hit);
+    EXPECT_FALSE(c.access(high, false).hit);
+    EXPECT_TRUE(c.access(top, false).hit) << "same line as `high`";
+    const RefCache::Snapshot before = snapshot(c);
+    ASSERT_EQ(before.size(), 2u);
+
+    // Each of these drops the tag's top bits to land on a resident
+    // line: it must neither find that line nor fill over it.
+    for (const Addr a : {top + 1, top + 1 + low, top + 1 + high,
+                         ~Addr{0}}) {
+        SCOPED_TRACE(testing::Message() << std::hex << a);
+        EXPECT_THROW(c.access(a, false), std::out_of_range);
+        EXPECT_THROW(c.access(a, true), std::out_of_range);
+        EXPECT_THROW(c.install(a, LineState::Dirty), std::out_of_range);
+        EXPECT_EQ(c.probe(a), LineState::Invalid);
+        EXPECT_EQ(c.invalidate(a), LineState::Invalid);
+        c.downgrade(a);
+        EXPECT_EQ(snapshot(c), before);
+        EXPECT_EQ(c.touchedSets(), 2u);
+    }
+    EXPECT_EQ(c.probe(low), LineState::Dirty);
+    EXPECT_EQ(c.probe(high), LineState::Shared);
+}
+
+TEST(Cache, RunReadingBeyondTheTagRangeThrows)
+{
+    Machine m(MachineConfig::origin2000(2));
+    const Addr beyond = m.mem().cache(0).maxAddr() + 1;
+    bool read_returned = false;
+    EXPECT_THROW(m.run([&](Cpu& cpu) -> Task {
+        if (cpu.id() == 1) {
+            cpu.read(beyond);
+            read_returned = true;
+        }
+        co_await cpu.checkpoint();
+        co_return;
+    }),
+                 std::out_of_range);
+    EXPECT_FALSE(read_returned);
+    EXPECT_EQ(m.mem().cache(1).residentLines(), 0u);
+}
+
+TEST(Cache, AllocPastTheTagRangeThrows)
+{
+    Machine m(MachineConfig::origin2000(1));
+    const std::uint64_t page = m.config().pageBytes;
+    const Addr end = m.mem().cache(0).maxAddr() + 1; // 2^51
+    // The heap may fill the tag range exactly, and no more.
+    EXPECT_THROW(m.alloc(end - m.heapEnd() + 1), std::overflow_error);
+    EXPECT_EQ(m.heapEnd(), Machine::kHeapBase);
+    EXPECT_EQ(m.alloc(end - page - m.heapEnd()), Machine::kHeapBase);
+    EXPECT_EQ(m.alloc(page), end - page);
+    EXPECT_EQ(m.heapEnd(), end);
+    EXPECT_THROW(m.alloc(1), std::overflow_error);
+    EXPECT_EQ(m.heapEnd(), end);
 }

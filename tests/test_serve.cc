@@ -12,6 +12,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -609,6 +610,12 @@ TEST(ResultCache, LruEviction)
     get("a");
     get("b");
     get("a");      // refresh a
+    // A failed leader caches nothing and neither evicts nor refreshes.
+    EXPECT_THROW(cache.getOrCompute("c", []() -> std::string {
+                     throw std::runtime_error("boom");
+                 }),
+                 std::runtime_error);
+    EXPECT_EQ(cache.size(), 2u);
     get("c");      // evicts b (LRU)
     EXPECT_EQ(computes, 3);
     EXPECT_TRUE(get("a").second);
