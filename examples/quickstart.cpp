@@ -90,9 +90,6 @@ main(int argc, char** argv)
             std::printf("wrote %s (epoch time-series + histograms + "
                         "hot lines)\n",
                         metrics.c_str());
-    } else if (!trace_file.empty()) {
-        std::printf("\n(tracing requested but compiled out; rebuild "
-                    "with -DCCNUMA_TRACING=ON)\n");
     }
 
     // 5. Same again with software prefetch in the transpose phases.

@@ -2,7 +2,8 @@
  * @file
  * Thread-safe, single-flight memoization by string key: the one
  * implementation behind core::SeqBaselineCache (uniprocessor baseline
- * times) and apps::InputCache (shared app inputs).
+ * times), apps::InputCache (shared app inputs) and ccnuma_serve's
+ * result cache (finished response payloads, LRU-bounded).
  */
 
 #ifndef CCNUMA_APPS_SINGLE_FLIGHT_HH
@@ -12,6 +13,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <limits>
 #include <map>
 #include <mutex>
 #include <optional>
@@ -28,6 +30,11 @@ namespace ccnuma::apps {
  * slot is erased, the exception propagates only to the leader's
  * caller, and one waiter is promoted to leader and retries.
  *
+ * A bounded cache keeps at most `capacity` ready entries: each hit and
+ * fill stamps its entry with a use tick, and a fill past the capacity
+ * evicts the ready entry with the oldest tick (a scan; in-flight slots
+ * are never evicted). Capacity 0 stores nothing: every call computes.
+ *
  * All methods are safe to call from any thread.
  */
 template <class V>
@@ -35,16 +42,24 @@ class SingleFlight
 {
   public:
     using Compute = std::function<V()>;
+    static constexpr std::size_t kUnbounded =
+        std::numeric_limits<std::size_t>::max();
+
+    explicit SingleFlight(std::size_t capacity = kUnbounded)
+        : capacity_(capacity)
+    {
+    }
 
     /**
      * Return the cached value for `key`, computing (and caching) it via
-     * `compute` on a miss. An empty key disables caching: `compute` is
-     * invoked unconditionally and nothing is stored or counted.
+     * `compute` on a miss. An empty key or a capacity of 0 disables
+     * caching: `compute` is invoked unconditionally and nothing is
+     * stored or counted.
      */
     V
     getOrCompute(const std::string& key, const Compute& compute)
     {
-        if (key.empty())
+        if (key.empty() || capacity_ == 0)
             return compute();
 
         std::unique_lock<std::mutex> lk(mu_);
@@ -56,6 +71,7 @@ class SingleFlight
             }
             if (it->second.ready) {
                 ++hits_;
+                it->second.lastUse = ++tick_;
                 return it->second.value;
             }
             // Someone else is computing this key; on wake the slot is
@@ -71,7 +87,10 @@ class SingleFlight
             value.emplace(compute());
         } catch (...) {
             lk.lock();
-            slots_.erase(key);
+            // An insert() may have filled the slot meanwhile; keep it.
+            const auto it = slots_.find(key);
+            if (it != slots_.end() && !it->second.ready)
+                slots_.erase(it);
             cv_.notify_all();
             throw;
         }
@@ -96,7 +115,7 @@ class SingleFlight
     void
     insert(const std::string& key, V value)
     {
-        if (key.empty())
+        if (key.empty() || capacity_ == 0)
             return;
         std::lock_guard<std::mutex> lk(mu_);
         fillLocked(key, std::move(value));
@@ -107,10 +126,7 @@ class SingleFlight
     size() const
     {
         std::lock_guard<std::mutex> lk(mu_);
-        std::size_t n = 0;
-        for (const auto& [k, s] : slots_)
-            n += s.ready ? 1 : 0;
-        return n;
+        return ready_;
     }
 
     /// How many getOrCompute calls ran their compute to completion.
@@ -134,6 +150,7 @@ class SingleFlight
     struct Slot {
         V value{};
         bool ready = false;
+        std::uint64_t lastUse = 0;
     };
 
     void
@@ -141,13 +158,28 @@ class SingleFlight
     {
         Slot& s = slots_[key];
         s.value = std::move(value);
+        ready_ += s.ready ? 0 : 1;
         s.ready = true;
+        s.lastUse = ++tick_;
+        while (ready_ > capacity_) {
+            auto victim = slots_.end();
+            for (auto it = slots_.begin(); it != slots_.end(); ++it)
+                if (it->second.ready &&
+                    (victim == slots_.end() ||
+                     it->second.lastUse < victim->second.lastUse))
+                    victim = it;
+            slots_.erase(victim);
+            --ready_;
+        }
         cv_.notify_all();
     }
 
+    const std::size_t capacity_;
     mutable std::mutex mu_;
     std::condition_variable cv_;
     std::map<std::string, Slot> slots_;
+    std::size_t ready_ = 0;
+    std::uint64_t tick_ = 0;
     std::uint64_t computed_ = 0;
     std::uint64_t hits_ = 0;
 };

@@ -163,23 +163,27 @@ loadGoldenFile(const std::string& path, GoldenSnapshot& out,
         err = path + ": not a ccnuma-golden-metrics file";
         return false;
     }
-    const json::Value* version = root.find("version");
-    if (!version || !version->isNumber()) {
-        err = path + ": missing version";
+    // Every count is a non-negative integer that fits in a uint64: a
+    // sign, a fraction, an exponent or an overflow is a corrupt file.
+    const auto count = [&](const json::Value* v, const std::string& what,
+                           std::uint64_t& n) {
+        if (v && v->asCount(n))
+            return true;
+        err = path + ": " + what + " is missing or not a count";
+        return false;
+    };
+    std::uint64_t version = 0;
+    if (!count(root.find("version"), "version", version))
+        return false;
+    if (version != 1) {
+        err = path + ": unsupported version " + std::to_string(version);
         return false;
     }
-    out.version = static_cast<int>(version->asU64());
-    if (out.version != 1) {
-        err = path + ": unsupported version " +
-              std::to_string(out.version);
+    out.version = 1;
+    std::uint64_t procs = 0;
+    if (!count(root.find("procs"), "procs", procs))
         return false;
-    }
-    const json::Value* procs = root.find("procs");
-    if (!procs || !procs->isNumber()) {
-        err = path + ": missing procs";
-        return false;
-    }
-    out.procs = static_cast<int>(procs->asU64());
+    out.procs = static_cast<int>(procs);
     const json::Value* apps = root.find("apps");
     if (!apps || !apps->isArray()) {
         err = path + ": missing apps array";
@@ -188,33 +192,25 @@ loadGoldenFile(const std::string& path, GoldenSnapshot& out,
     out.entries.clear();
     for (const json::Value& v : apps->arr) {
         const json::Value* name = v.find("name");
-        const json::Value* size = v.find("size");
-        const json::Value* seq = v.find("seqTime");
-        const json::Value* par = v.find("parTime");
         const json::Value* spd = v.find("speedup");
         const json::Value* counters = v.find("counters");
-        if (!name || !name->isString() || !size || !size->isNumber() ||
-            !seq || !seq->isNumber() || !par || !par->isNumber() ||
-            !spd || !spd->isNumber() || !counters ||
-            !counters->isObject()) {
+        if (!name || !name->isString() || !spd || !spd->isNumber() ||
+            !counters || !counters->isObject()) {
             err = path + ": malformed app entry";
             return false;
         }
         GoldenEntry e;
         e.name = name->str;
-        e.size = size->asU64();
-        e.seqTime = seq->asU64();
-        e.parTime = par->asU64();
+        const std::string app = "app " + e.name + ": ";
+        if (!count(v.find("size"), app + "size", e.size) ||
+            !count(v.find("seqTime"), app + "seqTime", e.seqTime) ||
+            !count(v.find("parTime"), app + "parTime", e.parTime))
+            return false;
         e.speedup = spd->asDouble();
-        for (const CounterField& f : kCounters) {
-            const json::Value* c = counters->find(f.key);
-            if (!c || !c->isNumber()) {
-                err = path + ": app " + e.name +
-                      " missing counter " + f.key;
+        for (const CounterField& f : kCounters)
+            if (!count(counters->find(f.key), app + "counter " + f.key,
+                       e.*(f.member)))
                 return false;
-            }
-            e.*(f.member) = c->asU64();
-        }
         out.entries.push_back(std::move(e));
     }
     return true;

@@ -1,6 +1,7 @@
 #include "check/json.hh"
 
 #include <cctype>
+#include <charconv>
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
@@ -18,12 +19,25 @@ Value::find(const std::string& key) const
     return nullptr;
 }
 
+bool
+Value::asCount(std::uint64_t& out) const
+{
+    if (!isNumber() || raw.find_first_of(".-eE") != std::string::npos)
+        return false;
+    std::uint64_t v = 0;
+    const char* const last = raw.data() + raw.size();
+    const auto [p, ec] = std::from_chars(raw.data(), last, v);
+    if (ec != std::errc{} || p != last)
+        return false;
+    out = v;
+    return true;
+}
+
 std::uint64_t
 Value::asU64() const
 {
-    if (!isNumber())
-        return 0;
-    return std::strtoull(raw.c_str(), nullptr, 10);
+    std::uint64_t v = 0;
+    return asCount(v) ? v : 0;
 }
 
 namespace {

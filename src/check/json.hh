@@ -50,7 +50,11 @@ struct Value {
 
     /// Member of an object, or nullptr.
     const Value* find(const std::string& key) const;
-    /// Number parsed as uint64 from its raw text (0 if not a number).
+    /// True, with `out` set, when this is a non-negative integer that
+    /// fits in a uint64 (no sign, fraction, exponent or overflow);
+    /// false, with `out` untouched, for anything else.
+    bool asCount(std::uint64_t& out) const;
+    /// The count asCount reads, or 0 for anything that is not a count.
     std::uint64_t asU64() const;
     /// Number as double (0.0 if not a number).
     double asDouble() const { return isNumber() ? number : 0.0; }

@@ -42,15 +42,6 @@ ull(std::uint64_t v)
     return v;
 }
 
-/// Exit status of a --mutate run in a build without the hooks.
-[[maybe_unused]] int
-noMutationHooks()
-{
-    std::fprintf(stderr, "mutation hooks not compiled in "
-                         "(build with -DCCNUMA_CHECK_MUTATE=ON)\n");
-    return 2;
-}
-
 struct StressArgs {
     check::StressOptions base; ///< seed, procs, ops and the machine.
     std::uint64_t seeds = 1;
@@ -61,13 +52,8 @@ struct StressArgs {
 int
 runStress(StressArgs& a, const Command&)
 {
-    if (a.mutate) {
-#ifdef CCNUMA_CHECK_MUTATE
+    if (a.mutate)
         a.base.mutation = sim::CheckMutation::SkipInvalidation;
-#else
-        return noMutationHooks();
-#endif
-    }
 
     std::uint64_t failures = 0;
     for (std::uint64_t i = 0; i < a.seeds; ++i) {
@@ -247,12 +233,8 @@ runRaces(RacesArgs& a, const Command& cmd)
     if (!a.app.empty() && a.all)
         return core::cli::usageError(cmd, "--app and --all are exclusive");
     a.machine.numProcs = a.procs;
-    if (a.mutate) {
-#ifndef CCNUMA_CHECK_MUTATE
-        return noMutationHooks();
-#endif
+    if (a.mutate)
         return runRaceMutate(a);
-    }
 
     core::MetricsSink sink(a.json);
     sink.setMachine(a.machine);
@@ -641,10 +623,6 @@ runModel(const ModelArgs& a, const Command& cmd)
     } else if (!a.mutate.empty()) {
         return core::cli::usageError(cmd, "unknown --mutate=" + a.mutate);
     }
-#ifndef CCNUMA_CHECK_MUTATE
-    if (mutation != sim::CheckMutation::None)
-        return noMutationHooks();
-#endif
     std::vector<std::string> fmtSel = {"fullbv", "coarse:4", "ptr:2"};
     if (!a.protocol.empty())
         protoSel = {a.protocol};

@@ -6,9 +6,9 @@
  * Design rules:
  *  - Purely observational: hooks never alter simulated state or timing,
  *    so a traced run's cycle counts are identical to an untraced one.
- *  - Zero cost when off: every hook call in the simulator is guarded by
- *    `kTracingCompiled && trace_`; building with -DCCNUMA_TRACING=OFF
- *    folds the guard to a compile-time false and the hooks vanish.
+ *  - Near-zero cost when off: every hook call in the simulator is
+ *    guarded by a `trace_ != nullptr` test, which an untraced run
+ *    always predicts correctly.
  *  - Layering: this library depends only on sim *headers* (types,
  *    stats, config structs), never on symbols defined in sim .cc files,
  *    so `ccnuma_sim` can link against `ccnuma_obs` without a cycle.
@@ -26,18 +26,7 @@
 #include "sim/stats.hh"
 #include "sim/types.hh"
 
-#ifndef CCNUMA_TRACING
-#define CCNUMA_TRACING 1
-#endif
-
 namespace ccnuma::obs {
-
-/// True when the tracing hooks are compiled into the simulator.
-#if CCNUMA_TRACING
-inline constexpr bool kTracingCompiled = true;
-#else
-inline constexpr bool kTracingCompiled = false;
-#endif
 
 using sim::Addr;
 using sim::Cycles;

@@ -314,8 +314,11 @@ Server::handleJob(const Job& job)
     }
 
     try {
-        const auto [payload, cached] =
+        // cached:true means no simulation ran on this call's behalf.
+        bool cached = true;
+        const std::string payload =
             cache_.getOrCompute(req.cacheKey(), [&] {
+                cached = false;
                 {
                     std::lock_guard<std::mutex> lk(mu_);
                     ++stats_.simsRun;

@@ -4,7 +4,7 @@
  *
  * One Server owns one listener, a thread per live connection, a
  * bounded admission queue, a small worker pool, a single-flight LRU
- * result cache (serve/cache.hh), and one shared core::StudyRunner. A
+ * result cache (apps::SingleFlight), and one shared core::StudyRunner. A
  * connection thread reads NDJSON request lines (serve/wire.hh),
  * answers ping/shutdown and every rejection inline, and enqueues
  * study/trace work; workers drain the queue through the cache and the
@@ -43,8 +43,8 @@
 #include <thread>
 #include <vector>
 
+#include "apps/single_flight.hh"
 #include "core/study_runner.hh"
-#include "serve/cache.hh"
 #include "serve/net.hh"
 #include "serve/wire.hh"
 
@@ -133,7 +133,8 @@ class Server
 
     ServerOptions opt_;
     core::StudyRunner runner_;
-    ResultCache cache_;
+    /// Canonical request key (Request::cacheKey()) -> result payload.
+    apps::SingleFlight<std::string> cache_;
 
     Fd listener_;
     int port_ = 0;

@@ -1,7 +1,6 @@
 #include "serve/wire.hh"
 
 #include <algorithm>
-#include <charconv>
 #include <cmath>
 
 #include "apps/registry.hh"
@@ -23,20 +22,6 @@ reject(std::string id, std::string code, std::string detail)
     r.detail = std::move(detail);
     r.req.id = std::move(id);
     return r;
-}
-
-/// Non-negative integer that fits in a u64 (rejects fractions, signs,
-/// non-numbers, and out-of-range values — Value::asU64 would silently
-/// saturate the latter to 2^64-1).
-bool
-asCount(const json::Value& v, std::uint64_t& out)
-{
-    if (!v.isNumber() || v.raw.find_first_of(".-eE") != std::string::npos)
-        return false;
-    const char* const first = v.raw.data();
-    const char* const last = first + v.raw.size();
-    const auto [p, ec] = std::from_chars(first, last, out);
-    return ec == std::errc{} && p == last;
 }
 
 } // namespace
@@ -126,7 +111,7 @@ parseRequest(const std::string& line)
                               "'app' must be a non-empty string");
             req.app = v.str;
         } else if (key == "size" && study) {
-            if (!asCount(v, req.size))
+            if (!v.asCount(req.size))
                 return reject(id, "bad-request",
                               "'size' must be a non-negative integer");
         } else if (key == "procs" && study) {
@@ -135,7 +120,7 @@ parseRequest(const std::string& line)
                               "'procs' must be a non-empty array");
             for (const json::Value& e : v.arr) {
                 std::uint64_t p = 0;
-                if (!asCount(e, p) || p < 1 || p > 4096)
+                if (!e.asCount(p) || p < 1 || p > 4096)
                     return reject(id, "bad-request",
                                   "'procs' entries must be integers "
                                   "in [1, 4096]");
@@ -173,7 +158,7 @@ parseRequest(const std::string& line)
                 return reject(id, "bad-request", "'obs' must be a bool");
             req.obs = v.boolean;
         } else if (key == "deadlineMs" && (study || tracereq)) {
-            if (!asCount(v, req.deadlineMs))
+            if (!v.asCount(req.deadlineMs))
                 return reject(
                     id, "bad-request",
                     "'deadlineMs' must be a non-negative integer");

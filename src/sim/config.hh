@@ -51,9 +51,8 @@ enum class BarrierAlg {
 /**
  * Observability knobs (the `ccnuma::obs` subsystem). All three layers
  * are purely observational — enabling them never changes simulated
- * cycle counts — and all default off. When the project is built with
- * -DCCNUMA_TRACING=OFF these flags are inert: the hooks are compiled
- * out of the simulator entirely.
+ * cycle counts — and all default off. With all three off, no trace is
+ * attached and every hook is one not-taken `trace_` test.
  */
 struct TraceConfig {
     /// Capture typed protocol events into a ring buffer.
@@ -71,12 +70,10 @@ struct TraceConfig {
 };
 
 /**
- * Deliberate protocol mutations for harness self-tests. Honored only
- * when the project is built with -DCCNUMA_CHECK_MUTATE=ON (the
- * default): the verification suite proves the SC oracle has teeth by
- * breaking one transition and asserting the break is detected. With
- * the option OFF the mutation code is compiled out entirely and these
- * values are inert.
+ * Deliberate protocol mutations for harness self-tests: the
+ * verification suite proves the SC oracle has teeth by breaking one
+ * transition and asserting the break is detected. Each hook is one
+ * enum compare on the invalidation, eviction or lock path.
  */
 enum class CheckMutation : std::uint8_t {
     None,             ///< Correct protocol (the only production value).

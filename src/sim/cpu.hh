@@ -49,7 +49,7 @@ class Cpu
     {
         if (rec_) [[unlikely]]
             rec_->onOp(id_, OpKind::Busy, c);
-        if (obs::kTracingCompiled && trace_)
+        if (trace_)
             trace_->addBusy(id_, now_, c);
         now_ += c;
         stats_->t.busy += c;
@@ -61,7 +61,7 @@ class Cpu
         if (rec_) [[unlikely]]
             rec_->onOp(id_, OpKind::Read, addr);
         const Cycles l = mem_->access(id_, now_, addr, false, *stats_);
-        if (obs::kTracingCompiled && trace_)
+        if (trace_)
             trace_->addMemStall(id_, now_, l);
         now_ += l;
         stats_->t.memStall += l;
@@ -73,7 +73,7 @@ class Cpu
         if (rec_) [[unlikely]]
             rec_->onOp(id_, OpKind::Write, addr);
         const Cycles l = mem_->access(id_, now_, addr, true, *stats_);
-        if (obs::kTracingCompiled && trace_)
+        if (trace_)
             trace_->addMemStall(id_, now_, l);
         now_ += l;
         stats_->t.memStall += l;
@@ -85,7 +85,7 @@ class Cpu
         if (rec_) [[unlikely]]
             rec_->onOp(id_, OpKind::Prefetch, addr);
         mem_->prefetch(id_, now_, addr, *stats_);
-        if (obs::kTracingCompiled && trace_)
+        if (trace_)
             trace_->addBusy(id_, now_, 1);
         now_ += 1; // issue slot
         stats_->t.busy += 1;
@@ -101,7 +101,7 @@ class Cpu
         if (rec_) [[unlikely]]
             rec_->onOp(id_, OpKind::FetchOp, addr);
         const Cycles l = mem_->fetchOp(id_, now_, addr, *stats_);
-        if (obs::kTracingCompiled && trace_)
+        if (trace_)
             trace_->addMemStall(id_, now_, l);
         now_ += l;
         stats_->t.memStall += l;
@@ -113,7 +113,7 @@ class Cpu
         if (rec_) [[unlikely]]
             rec_->onOp(id_, OpKind::Rmw, addr);
         const Cycles l = mem_->llscRmw(id_, now_, addr, *stats_);
-        if (obs::kTracingCompiled && trace_)
+        if (trace_)
             trace_->addMemStall(id_, now_, l);
         now_ += l;
         stats_->t.memStall += l;
@@ -232,7 +232,7 @@ class Cpu
     void
     chargeSyncOp(Cycles c)
     {
-        if (obs::kTracingCompiled && trace_)
+        if (trace_)
             trace_->addSyncOp(id_, now_, c);
         now_ += c;
         stats_->t.syncOp += c;
@@ -243,7 +243,7 @@ class Cpu
     void
     chargeSyncWait(Cycles c, WaitKind kind)
     {
-        if (obs::kTracingCompiled && trace_)
+        if (trace_)
             trace_->addSyncWait(id_, now_, c, kind == WaitKind::Lock);
         now_ += c;
         stats_->t.syncWait += c;

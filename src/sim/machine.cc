@@ -115,7 +115,7 @@ Machine::run(const Program& program)
 
     stats_.assign(cfg_.numProcs, ProcStats{});
     mem_.attachStats(&stats_);
-    if (obs::kTracingCompiled && cfg_.trace.any()) {
+    if (cfg_.trace.any()) {
         std::vector<NodeId> proc_node(cfg_.numProcs);
         for (int p = 0; p < cfg_.numProcs; ++p)
             proc_node[p] = mem_.nodeOfProcess(p);
@@ -238,7 +238,7 @@ Machine::barrierArrive(BarrierId b, Cpu& cpu)
             w.wakeAt(wake, Cpu::WaitKind::Barrier);
             sched_.ready(p, w.now());
         }
-        if (obs::kTracingCompiled && trace_)
+        if (trace_)
             trace_->onBarrierPassed(p, w.now(), bs.line);
         if (syncObs_)
             syncObs_->onBarrierDepart(p, b.idx, bs.episode);
@@ -257,10 +257,9 @@ Machine::lockAcquire(LockId l, Cpu& cpu)
     ++cpu.stats().c.lockAcquires;
     if (ls.held)
         ++cpu.stats().c.lockContended;
-    if (obs::kTracingCompiled && trace_)
+    if (trace_)
         trace_->onLockAcquire(cpu.id(), cpu.now(), ls.line,
                               mem_.syncHomeOf(ls.line), ls.held);
-#ifdef CCNUMA_CHECK_MUTATE
     // Harness self-test (CheckMutation::DropLockAcquire): the acquire
     // is charged and reported granted, but the lock is never taken —
     // no mutual exclusion, no SyncObserver grant, no happens-before
@@ -268,7 +267,6 @@ Machine::lockAcquire(LockId l, Cpu& cpu)
     // sim/config.hh.
     if (cfg_.check.mutation == CheckMutation::DropLockAcquire)
         return true;
-#endif
     if (!ls.held) {
         ls.held = true;
         ls.owner = cpu.id();
@@ -284,14 +282,12 @@ void
 Machine::lockRelease(LockId l, Cpu& cpu)
 {
     LockState& ls = locks_.at(l.idx);
-#ifdef CCNUMA_CHECK_MUTATE
     // The matching acquire was dropped (CheckMutation::DropLockAcquire):
     // charge the releasing store but leave the never-taken lock alone.
     if (cfg_.check.mutation == CheckMutation::DropLockAcquire) {
         cpu.chargeSyncOp(syncRmwCost(cpu, ls.line, ls.lastHolder));
         return;
     }
-#endif
     assert(ls.held && ls.owner == cpu.id());
     // Releasing store on the lock line.
     const Cycles op = syncRmwCost(cpu, ls.line, ls.lastHolder);

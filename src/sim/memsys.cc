@@ -18,7 +18,6 @@ MemSys::MemSys(const MachineConfig& cfg, const Topology& topo)
       pendingFill_(cfg.numProcs),
       procNode_(cfg.numProcs)
 {
-#ifdef CCNUMA_CHECK_MUTATE
     // Harness self-test (CheckMutation::CorruptMoesiTable): break the
     // machine's private table copy so the remote-write x Shared cell
     // forgets its invalidation. The SC oracle must catch the stale
@@ -26,7 +25,6 @@ MemSys::MemSys(const MachineConfig& cfg, const Topology& topo)
     if (cfg_.check.mutation == CheckMutation::CorruptMoesiTable)
         proto_.rem[kProtoWrite][static_cast<int>(LineState::Shared)] = {
             NextState::Same, RemAct::None};
-#endif
     caches_.reserve(cfg.numProcs);
     for (int p = 0; p < cfg.numProcs; ++p) {
         caches_.push_back(std::make_unique<Cache>(
@@ -161,7 +159,6 @@ MemSys::handleVictim(ProcId p, Cycles now, const CacheResult& r,
         // a cache that still has clean peers. Write it back — home
         // memory is current again, so the peers' copies become plain
         // Shared and the entry loses its owner.
-#ifdef CCNUMA_CHECK_MUTATE
         // Harness self-test (CheckMutation::DropOwnedWriteback): the
         // eviction forgets the writeback, so the entry goes Shared
         // over stale home memory — a later memory fill serves old
@@ -181,7 +178,6 @@ MemSys::handleVictim(ProcId p, Cycles now, const CacheResult& r,
             }
             return;
         }
-#endif
         const NodeId home = pageTable_.home(line, procNode_[p]);
         useResource(hubFree_[home], now, cfg_.hubOccupancy);
         useResource(memFree_[home], now, cfg_.memOccupancy);
@@ -221,7 +217,7 @@ MemSys::invalidateSharers(ProcId requester, NodeId home, Cycles now,
     const NodeId myNode = procNode_[requester];
     int n = 0;
     Cycles worst_legs = 0;
-    [[maybe_unused]] bool mutate_spared = false;
+    bool mutate_spared = false;
     // The remote-write x Shared cell governs the whole fan-out: every
     // non-owner holder is Shared. A table whose cell "forgot" the
     // invalidation (CheckMutation::CorruptMoesiTable) leaves stale
@@ -231,7 +227,6 @@ MemSys::invalidateSharers(ProcId requester, NodeId home, Cycles now,
     forEachTarget(e, [&](ProcId s) {
         if (s == requester || s == exclude)
             return;
-#ifdef CCNUMA_CHECK_MUTATE
         // Harness self-test (CheckMutation::SkipInvalidation): a
         // deliberately broken protocol that forgets to invalidate the
         // first sharer of every fan-out, leaving it a stale copy the
@@ -241,7 +236,6 @@ MemSys::invalidateSharers(ProcId requester, NodeId home, Cycles now,
             mutate_spared = true;
             return;
         }
-#endif
         bool real = false;
         if (cell.act == RemAct::Invalidate)
             real = caches_[s]->invalidate(line) != LineState::Invalid;

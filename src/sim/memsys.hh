@@ -287,14 +287,8 @@ class MemSys
     Cycles accessLegacy(ProcId p, Cycles now, Addr addr, bool write,
                         ProcStats& st);
 
-    /// True when observability hooks should fire. Folds to a
-    /// compile-time false with -DCCNUMA_TRACING=OFF, eliding every
-    /// hook from the access paths (the zero-overhead guarantee).
-    bool traceOn() const
-    {
-        return obs::kTracingCompiled && trace_ != nullptr &&
-               !traceMuted_;
-    }
+    /// True when observability hooks should fire.
+    bool traceOn() const { return trace_ != nullptr && !traceMuted_; }
 
     const MachineConfig cfg_;
     const Topology& topo_;

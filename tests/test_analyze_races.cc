@@ -4,10 +4,9 @@
  *
  * Hand-built StressPrograms pin down the detector's verdict on the
  * four canonical cases (true race, lock-protected, barrier-separated,
- * false sharing), a fixed-seed run checks determinism, and -- when the
- * mutation hooks are compiled in -- CheckMutation::DropLockAcquire
- * must turn a disciplined race-free program into a detected race with
- * a small ddmin-shrunk witness.
+ * false sharing), a fixed-seed run checks determinism, and
+ * CheckMutation::DropLockAcquire must turn a disciplined race-free
+ * program into a detected race with a small ddmin-shrunk witness.
  */
 
 #include <gtest/gtest.h>
@@ -168,7 +167,6 @@ TEST(AnalyzeStress, DisciplinedProgramsAreRaceFreeAndDeterministic)
     }
 }
 
-#ifdef CCNUMA_CHECK_MUTATE
 TEST(AnalyzeStress, DropLockAcquireIsDetectedAndShrinksSmall)
 {
     check::StressOptions opt = analyze::raceStressOptions(7);
@@ -191,7 +189,6 @@ TEST(AnalyzeStress, DropLockAcquireIsDetectedAndShrinksSmall)
     EXPECT_LE(shrunk.program.numOps(), 50u)
         << check::formatWitness(shrunk.program);
 }
-#endif // CCNUMA_CHECK_MUTATE
 
 } // namespace
 } // namespace ccnuma

@@ -2,9 +2,8 @@
  * @file
  * Unit tests for the SC data-value oracle: a correct protocol produces
  * zero violations on handcrafted sharing patterns, the cadence
- * validateCoherence() sweep runs, and (when mutation hooks are
- * compiled in) a deliberately broken invalidation is detected at the
- * exact store that skipped it.
+ * validateCoherence() sweep runs, and a deliberately broken
+ * invalidation is detected at the exact store that skipped it.
  */
 
 #include <gtest/gtest.h>
@@ -89,7 +88,6 @@ TEST(ScOracle, CountsCommitsAndCheckedLoads)
     EXPECT_FALSE(oracle.failed());
 }
 
-#ifdef CCNUMA_CHECK_MUTATE
 TEST(ScOracle, SkippedInvalidationIsCaughtAtTheStore)
 {
     // Minimal witness shape: both processors cache a line Shared, then
@@ -121,12 +119,6 @@ TEST(ScOracle, SkippedInvalidationIsCaughtAtTheStore)
     // The stale copy is also structurally visible to the sweep.
     EXPECT_FALSE(m.mem().validateCoherence().empty());
 }
-#else
-TEST(ScOracle, SkippedInvalidationIsCaughtAtTheStore)
-{
-    GTEST_SKIP() << "built with CCNUMA_CHECK_MUTATE=OFF";
-}
-#endif
 
 TEST(ScOracle, DetachedObserverChangesNothing)
 {

@@ -135,7 +135,6 @@ TEST(StressShrink, PassingProgramIsReturnedUnchanged)
     EXPECT_EQ(res.runs, 1);
 }
 
-#ifdef CCNUMA_CHECK_MUTATE
 TEST(StressMutation, BrokenInvalidationIsCaughtReplayedAndShrunk)
 {
     check::StressOptions opt = quickOptions(1);
@@ -178,9 +177,3 @@ TEST(StressMutation, CaughtAcrossSeeds)
             << "seed " << seed << " did not expose the mutation";
     }
 }
-#else
-TEST(StressMutation, BrokenInvalidationIsCaughtReplayedAndShrunk)
-{
-    GTEST_SKIP() << "built with CCNUMA_CHECK_MUTATE=OFF";
-}
-#endif

@@ -98,8 +98,7 @@ TEST(GoldenMetrics, LoaderRejectsBadBaselines)
     const std::string path = ::testing::TempDir() + "golden_bad.json";
     auto tryLoad = [&](const std::string& text) {
         std::ofstream(path) << text;
-        std::string e2;
-        return check::loadGoldenFile(path, out, e2);
+        return check::loadGoldenFile(path, out, err);
     };
     EXPECT_FALSE(tryLoad("{not json"));
     EXPECT_FALSE(tryLoad(R"({"schema": "something-else"})"));
@@ -111,6 +110,15 @@ TEST(GoldenMetrics, LoaderRejectsBadBaselines)
         R"({"schema": "ccnuma-golden-metrics", "version": 1,
             "procs": 4, "apps": [{"name": "fft"}]})"))
         << "incomplete entry must be rejected";
+    EXPECT_FALSE(tryLoad(
+        R"({"schema": "ccnuma-golden-metrics", "version": 1,
+            "procs": 4, "apps": [{"name": "fft", "size": 64,
+            "seqTime": -1, "parTime": 10, "speedup": 1.0,
+            "counters": {}}]})"))
+        << "a negative count must be rejected, not wrapped";
+    EXPECT_NE(err.find("app fft: seqTime is missing or not a count"),
+              std::string::npos)
+        << err;
     std::remove(path.c_str());
 }
 

@@ -2,7 +2,9 @@
  * @file
  * Tests for apps::InputCache and apps::sharedInput: single-flight
  * builds under contention, one build per key, failed-leader recovery,
- * private builds with no cache installed, and Scope nesting.
+ * private builds with no cache installed, and Scope nesting. Plus the
+ * bounded apps::SingleFlight that ccnuma_serve's result cache uses:
+ * LRU eviction and capacity 0.
  */
 
 #include <gtest/gtest.h>
@@ -161,4 +163,51 @@ TEST(InputCache, NestedScopesRestoreThePreviousCache)
     EXPECT_EQ(InputCache::current(), nullptr);
     EXPECT_EQ(inner.computed(), 1u);
     EXPECT_EQ(outer.computed(), 1u);
+}
+
+TEST(SingleFlight, LruEviction)
+{
+    apps::SingleFlight<std::string> cache(2);
+    int computes = 0;
+    const auto get = [&](const std::string& k) {
+        return cache.getOrCompute(k, [&] {
+            ++computes;
+            return "v:" + k;
+        });
+    };
+    get("a");
+    get("b");
+    get("a"); // refresh a
+    // A failed leader caches nothing and neither evicts nor refreshes.
+    EXPECT_THROW(cache.getOrCompute("c",
+                                    []() -> std::string {
+                                        throw std::runtime_error("boom");
+                                    }),
+                 std::runtime_error);
+    EXPECT_EQ(cache.size(), 2u);
+    get("c"); // evicts b (LRU)
+    EXPECT_EQ(computes, 3);
+    EXPECT_FALSE(cache.lookup("b")) << "b was evicted";
+    EXPECT_EQ(get("a"), "v:a");
+    EXPECT_EQ(computes, 3) << "a was kept";
+    EXPECT_EQ(get("b"), "v:b");
+    EXPECT_EQ(computes, 4);
+    EXPECT_EQ(cache.size(), 2u);
+}
+
+TEST(SingleFlight, ZeroCapacityDisables)
+{
+    apps::SingleFlight<std::string> cache(0);
+    int computes = 0;
+    for (int i = 0; i < 3; ++i)
+        EXPECT_EQ(cache.getOrCompute("k",
+                                     [&] {
+                                         ++computes;
+                                         return std::string("v");
+                                     }),
+                  "v");
+    cache.insert("k", "w");
+    EXPECT_EQ(computes, 3);
+    EXPECT_EQ(cache.size(), 0u);
+    EXPECT_FALSE(cache.lookup("k"));
 }

@@ -109,6 +109,22 @@ TEST(StrictJson, Uint64RoundTripsExactly)
         check::json::parse(R"({"cycles": 18446744073709551615})");
     ASSERT_TRUE(r.ok) << r.error;
     EXPECT_EQ(r.root.find("cycles")->asU64(), 18446744073709551615ull);
+    std::uint64_t out = 7;
+    EXPECT_TRUE(r.root.find("cycles")->asCount(out));
+    EXPECT_EQ(out, 18446744073709551615ull);
+
+    // Valid JSON that is not a count: asCount refuses it and leaves
+    // `out` alone, and asU64 reads 0 instead of wrapping (-3 as
+    // 2^64-3), truncating (1.5 and 1e3 as 1) or saturating (2^64).
+    for (const char* v : {"-3", "-0", "1.5", "1e3", "2E1", "10.0",
+                          "18446744073709551616", "\"42\"", "null"}) {
+        const auto p = check::json::parse(std::string("[") + v + "]");
+        ASSERT_TRUE(p.ok) << v << ": " << p.error;
+        out = 7;
+        EXPECT_FALSE(p.root.arr[0].asCount(out)) << v;
+        EXPECT_EQ(out, 7u) << v;
+        EXPECT_EQ(p.root.arr[0].asU64(), 0u) << v;
+    }
 }
 
 TEST(MetricsSchema, SinkOutputIsValidAndComplete)

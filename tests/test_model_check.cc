@@ -100,8 +100,6 @@ TEST(ModelConfig, BadOptionsReportConfigNotViolation)
     EXPECT_EQ(r.invariant, "config");
 }
 
-#ifdef CCNUMA_CHECK_MUTATE
-
 namespace {
 
 /// Assert that `mutation` is caught on protocol x format x P with a
@@ -192,12 +190,3 @@ TEST(ModelMutation, CounterexampleReplaysThroughAFreshEngine)
     EXPECT_EQ(w.invariant(), r.invariant);
     EXPECT_FALSE(w.violation().empty());
 }
-
-#else
-
-TEST(ModelMutation, MutationsCaughtExhaustively)
-{
-    GTEST_SKIP() << "built with CCNUMA_CHECK_MUTATE=OFF";
-}
-
-#endif

@@ -309,8 +309,6 @@ TEST(JsonCheckerSelfTest, AcceptsValidRejectsInvalid)
 
 TEST(ObsEpochs, SumOfEpochsEqualsRunTotals)
 {
-    if (!obs::kTracingCompiled)
-        GTEST_SKIP() << "built with CCNUMA_TRACING=OFF";
     Workout w(/*traced=*/true);
     const RunResult r = w.run();
     ASSERT_NE(r.trace, nullptr);
@@ -345,8 +343,6 @@ TEST(ObsEpochs, SumOfEpochsEqualsRunTotals)
 
 TEST(ObsEpochs, SumOfEpochsEqualsRunTotalsOnRegistryApp)
 {
-    if (!obs::kTracingCompiled)
-        GTEST_SKIP() << "built with CCNUMA_TRACING=OFF";
     MachineConfig cfg;
     cfg.numProcs = 8;
     cfg.trace.events = true;
@@ -387,8 +383,6 @@ TEST(ObsEpochs, TracingIsCycleIdentical)
 
 TEST(ObsEpochs, HistogramsCoverDemandMisses)
 {
-    if (!obs::kTracingCompiled)
-        GTEST_SKIP() << "built with CCNUMA_TRACING=OFF";
     Workout w(/*traced=*/true);
     const RunResult r = w.run();
     ASSERT_NE(r.trace, nullptr);
@@ -409,8 +403,6 @@ TEST(ObsEpochs, HistogramsCoverDemandMisses)
 
 TEST(ObsExport, ChromeTraceIsValidJson)
 {
-    if (!obs::kTracingCompiled)
-        GTEST_SKIP() << "built with CCNUMA_TRACING=OFF";
     Workout w(/*traced=*/true);
     const RunResult r = w.run();
     ASSERT_NE(r.trace, nullptr);
@@ -426,8 +418,6 @@ TEST(ObsExport, ChromeTraceIsValidJson)
 
 TEST(ObsExport, MetricsJsonIsValidAndEchoesTotals)
 {
-    if (!obs::kTracingCompiled)
-        GTEST_SKIP() << "built with CCNUMA_TRACING=OFF";
     Workout w(/*traced=*/true);
     const RunResult r = w.run();
     ASSERT_NE(r.trace, nullptr);

@@ -153,8 +153,6 @@ TEST(SharingProfiler, UnseenLineReportsZeroedPrivate)
 
 TEST(SharingProfilerIntegration, DeliberateFalseSharingIsFlagged)
 {
-    if (!obs::kTracingCompiled)
-        GTEST_SKIP() << "built with CCNUMA_TRACING=OFF";
 
     MachineConfig cfg;
     cfg.numProcs = 4;
@@ -192,8 +190,6 @@ TEST(SharingProfilerIntegration, DeliberateFalseSharingIsFlagged)
 
 TEST(SharingProfilerIntegration, TrueSharingProducerConsumer)
 {
-    if (!obs::kTracingCompiled)
-        GTEST_SKIP() << "built with CCNUMA_TRACING=OFF";
 
     MachineConfig cfg;
     cfg.numProcs = 2;

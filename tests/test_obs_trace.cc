@@ -2,9 +2,7 @@
  * @file
  * Unit tests for the observability building blocks: trace ring buffer
  * wrap/overflow accounting, power-of-two latency histograms, the
- * streaming JSON writer and the event-name schema. These classes are
- * defined even when tracing is compiled out, so the tests run in both
- * build modes.
+ * streaming JSON writer and the event-name schema.
  */
 
 #include <gtest/gtest.h>

@@ -1,10 +1,8 @@
 /**
  * @file
  * Transition-table litmus tests: every state x event cell of every
- * shipped protocol is asserted against its textbook definition, the
- * config sub-objects round-trip through parse()/name(), and the
- * deprecation shim maps the old loose MachineConfig fields onto
- * ProtocolConfig.
+ * shipped protocol is asserted against its textbook definition, and
+ * the config sub-objects round-trip through parse()/name().
  */
 
 #include <gtest/gtest.h>

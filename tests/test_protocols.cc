@@ -353,7 +353,6 @@ TEST(DirectoryFormats, CompressedFormatsStayCoherentUnderTheOracle)
     }
 }
 
-#ifdef CCNUMA_CHECK_MUTATE
 TEST(ProtocolMutation, CorruptMoesiTableIsCaughtAndShrinks)
 {
     // The tables are consulted, not decoration: zero out the
@@ -384,9 +383,3 @@ TEST(ProtocolMutation, CorruptMoesiTableIsCaughtAndShrinks)
     clean.mutation = sim::CheckMutation::None;
     EXPECT_FALSE(check::runStress(clean).failed);
 }
-#else
-TEST(ProtocolMutation, CorruptMoesiTableIsCaughtAndShrinks)
-{
-    GTEST_SKIP() << "built with CCNUMA_CHECK_MUTATE=OFF";
-}
-#endif

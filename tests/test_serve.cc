@@ -5,12 +5,11 @@
  * the connection usable, admission control, result caching (hit on
  * repeat, no poisoning by failures), concurrent-client determinism,
  * and graceful shutdown draining in-flight work. Plus unit tests for
- * the single-flight LRU ResultCache and the wire parser.
+ * the wire parser.
  */
 
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <chrono>
 #include <stdexcept>
 #include <string>
@@ -20,7 +19,6 @@
 #include "apps/registry.hh"
 #include "apps/trace.hh"
 #include "check/json.hh"
-#include "serve/cache.hh"
 #include "serve/net.hh"
 #include "serve/server.hh"
 #include "serve/wire.hh"
@@ -549,94 +547,6 @@ TEST(Serve, UnixSocketRoundTrip)
     ASSERT_EQ(reader.next(resp), serve::ReadStatus::Line);
     EXPECT_TRUE(isOk(parseResponse(resp)));
     server.stop();
-}
-
-// ---- ResultCache unit tests ----
-
-TEST(ResultCache, SingleFlightConcurrentCallers)
-{
-    serve::ResultCache cache(8);
-    std::atomic<int> computes{0};
-    std::vector<std::thread> threads;
-    std::vector<std::string> got(8);
-    for (int i = 0; i < 8; ++i)
-        threads.emplace_back([&, i] {
-            got[i] = cache
-                         .getOrCompute("k",
-                                       [&] {
-                                           computes.fetch_add(1);
-                                           std::this_thread::sleep_for(
-                                               std::chrono::
-                                                   milliseconds(5));
-                                           return std::string("v");
-                                       })
-                         .first;
-        });
-    for (auto& t : threads)
-        t.join();
-    EXPECT_EQ(computes.load(), 1);
-    for (const std::string& g : got)
-        EXPECT_EQ(g, "v");
-}
-
-TEST(ResultCache, FailedLeaderPromotesFollower)
-{
-    serve::ResultCache cache(8);
-    EXPECT_THROW(cache.getOrCompute(
-                     "k",
-                     []() -> std::string {
-                         throw std::runtime_error("boom");
-                     }),
-                 std::runtime_error);
-    // The failure was not cached; the next caller recomputes.
-    const auto [v, cached] =
-        cache.getOrCompute("k", [] { return std::string("good"); });
-    EXPECT_EQ(v, "good");
-    EXPECT_FALSE(cached);
-    EXPECT_TRUE(
-        cache.getOrCompute("k", [] { return std::string("x"); }).second);
-}
-
-TEST(ResultCache, LruEviction)
-{
-    serve::ResultCache cache(2);
-    int computes = 0;
-    const auto get = [&](const std::string& k) {
-        return cache.getOrCompute(k, [&] {
-            ++computes;
-            return "v:" + k;
-        });
-    };
-    get("a");
-    get("b");
-    get("a");      // refresh a
-    // A failed leader caches nothing and neither evicts nor refreshes.
-    EXPECT_THROW(cache.getOrCompute("c", []() -> std::string {
-                     throw std::runtime_error("boom");
-                 }),
-                 std::runtime_error);
-    EXPECT_EQ(cache.size(), 2u);
-    get("c");      // evicts b (LRU)
-    EXPECT_EQ(computes, 3);
-    EXPECT_TRUE(get("a").second);
-    EXPECT_FALSE(get("b").second) << "b was evicted";
-    EXPECT_EQ(computes, 4);
-    EXPECT_EQ(cache.size(), 2u);
-}
-
-TEST(ResultCache, ZeroCapacityDisables)
-{
-    serve::ResultCache cache(0);
-    int computes = 0;
-    for (int i = 0; i < 3; ++i) {
-        const auto [v, cached] = cache.getOrCompute("k", [&] {
-            ++computes;
-            return std::string("v");
-        });
-        EXPECT_EQ(v, "v");
-        EXPECT_FALSE(cached);
-    }
-    EXPECT_EQ(computes, 3);
 }
 
 // ---- wire parser unit tests ----
