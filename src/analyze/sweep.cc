@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "apps/registry.hh"
-#include "check/golden.hh"
 #include "core/metrics.hh"
 #include "sim/machine.hh"
 
@@ -23,7 +22,7 @@ analyzeApp(const std::string& name, const sim::MachineConfig& cfg,
 {
     AppRaceResult out;
     out.app = name;
-    out.size = size != 0 ? size : check::goldenSize(name);
+    out.size = size != 0 ? size : apps::goldenSize(name);
 
     sim::Machine m(cfg);
     const apps::AppPtr app = apps::makeApp(name, out.size);

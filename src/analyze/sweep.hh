@@ -45,7 +45,7 @@ struct AppRaceResult {
 };
 
 /**
- * Run one application (size 0 = check::goldenSize) on an
+ * Run one application (size 0 = apps::goldenSize) on an
  * origin2000(procs) machine under the race detector.
  * @throws std::invalid_argument for unknown app names.
  */

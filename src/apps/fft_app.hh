@@ -32,7 +32,13 @@ class FftApp : public App
   public:
     explicit FftApp(const FftConfig& cfg) : cfg_(cfg) {}
 
-    std::string name() const override { return "fft"; }
+    std::string name() const override
+    {
+        return cfg_.implicitTranspose ? "fft-implicit"
+               : !cfg_.stagger        ? "fft-nostagger"
+               : cfg_.prefetch        ? "fft-prefetch"
+                                      : "fft";
+    }
     void setup(sim::Machine& m) override;
     sim::Machine::Program program() override;
 

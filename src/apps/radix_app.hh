@@ -29,7 +29,10 @@ class RadixApp : public App
   public:
     explicit RadixApp(const RadixConfig& cfg) : cfg_(cfg) {}
 
-    std::string name() const override { return "radix"; }
+    std::string name() const override
+    {
+        return cfg_.prefetchHist ? "radix-prefetch" : "radix";
+    }
     void setup(sim::Machine& m) override;
     sim::Machine::Program program() override;
 

@@ -1,5 +1,6 @@
 #include "apps/registry.hh"
 
+#include <algorithm>
 #include <bit>
 #include <climits>
 #include <stdexcept>
@@ -21,25 +22,188 @@ namespace ccnuma::apps {
 
 namespace {
 
-[[noreturn]] void
-throwUnknownApp(const std::string& name)
+using Size = std::uint64_t;
+
+/// Size facts shared by an application and all of its variants (and
+/// by apps whose sizes coincide: volrend and shearwarp, the waters).
+struct Family {
+    Size basic;       ///< Basic size: Table 2, scaled per DESIGN.md.
+    Size golden;      ///< Golden-metrics size (tests, perfbench grids).
+    const char* unit; ///< Unit of the size parameter.
+    bool intSized;    ///< The config holds the size in an int.
+};
+
+constexpr Family kBarnes{16384, 2048, "bodies", false};  // 16K bodies
+constexpr Family kInfer{422, 64, "cliques", true};       // CPCS-422
+constexpr Family kFft{1u << 20, 1u << 14, "points", false};
+constexpr Family kOcean{1026, 130, "grid", false}; // 1026x1026 grids
+constexpr Family kProtein{16, 8, "helix leaves", true}; // helix16
+constexpr Family kSort{1u << 22, 1u << 16, "keys", false}; // 4M keys
+constexpr Family kRaytrace{128, 32, "image side", true}; // ball 128^2
+constexpr Family kVolume{256, 32, "volume side", true};  // 256^3 head
+constexpr Family kWater{4096, 512, "molecules", false};
+
+/// How a row's work is distributed. Dynamic: everything built on
+/// TaskQueues (fullestVictim picks steal victims by queue occupancy,
+/// which depends on who ran when), and barnes-mergetree (each
+/// process's merge work scales with its arrival rank at the merge
+/// lock). Static apps partition by process id and problem size, so
+/// their op streams are timing-invariant.
+enum Work { Static, Dynamic };
+
+/// One registered name.
+struct Row {
+    const char* name;
+    const Family* family;
+    /// nullptr for a variant; for one of the paper's originals, its
+    /// restructured variant (Fig. 9), or "" if it has none.
+    const char* restructured;
+    Work work;
+    AppPtr (*make)(Size size); ///< `size` resolved and range-checked.
+};
+
+template <class A, class C>
+AppPtr
+make(const C& c)
 {
+    return std::make_unique<A>(c);
+}
+
+/// FFT's log2 size, rounded up to even (a square sqrt(n) matrix).
+int
+fftLog(Size n)
+{
+    const int log = std::bit_width(n) - 1;
+    return log + log % 2;
+}
+
+/// The size of an int-sized family (range-checked by makeApp).
+int
+narrow(Size n)
+{
+    return static_cast<int>(n);
+}
+
+/// Every registered name. Originals are in Fig. 2's row order, each
+/// followed by its variants; listApps() sorts.
+constexpr Row kRows[] = {
+    {"barnes", &kBarnes, "barnes-spatial", Static,
+     [](Size n) { return make<BarnesApp>(BarnesConfig{.numBodies = n}); }},
+    {"barnes-mergetree", &kBarnes, nullptr, Dynamic, [](Size n) {
+         return make<BarnesApp>(BarnesConfig{
+             .numBodies = n, .variant = BarnesVariant::MergeTree});
+     }},
+    {"barnes-spatial", &kBarnes, nullptr, Static, [](Size n) {
+         return make<BarnesApp>(BarnesConfig{
+             .numBodies = n, .variant = BarnesVariant::Spatial});
+     }},
+    {"infer", &kInfer, "infer-static", Dynamic, [](Size n) {
+         return make<InferApp>(InferConfig{.numCliques = narrow(n)});
+     }},
+    {"infer-static", &kInfer, nullptr, Dynamic, [](Size n) {
+         return make<InferApp>(InferConfig{.numCliques = narrow(n),
+                                           .staticWithinClique = true});
+     }},
+    {"fft", &kFft, "", Static,
+     [](Size n) { return make<FftApp>(FftConfig{.logPoints = fftLog(n)}); }},
+    {"fft-implicit", &kFft, nullptr, Static, [](Size n) {
+         return make<FftApp>(FftConfig{.logPoints = fftLog(n),
+                                       .implicitTranspose = true});
+     }},
+    {"fft-nostagger", &kFft, nullptr, Static, [](Size n) {
+         return make<FftApp>(
+             FftConfig{.logPoints = fftLog(n), .stagger = false});
+     }},
+    {"fft-prefetch", &kFft, nullptr, Static, [](Size n) {
+         return make<FftApp>(
+             FftConfig{.logPoints = fftLog(n), .prefetch = true});
+     }},
+    {"ocean", &kOcean, "ocean-rowwise", Static,
+     [](Size n) { return make<OceanApp>(OceanConfig{.n = n}); }},
+    {"ocean-rowwise", &kOcean, nullptr, Static, [](Size n) {
+         return make<OceanApp>(OceanConfig{.n = n, .rowwise = true});
+     }},
+    {"protein", &kProtein, "", Static, [](Size n) {
+         return make<ProteinApp>(ProteinConfig{.leaves = narrow(n)});
+     }},
+    {"protein-noregroup", &kProtein, nullptr, Static, [](Size n) {
+         return make<ProteinApp>(
+             ProteinConfig{.leaves = narrow(n), .regroup = false});
+     }},
+    {"radix", &kSort, "samplesort", Static,
+     [](Size n) { return make<RadixApp>(RadixConfig{.numKeys = n}); }},
+    {"radix-prefetch", &kSort, nullptr, Static, [](Size n) {
+         return make<RadixApp>(
+             RadixConfig{.numKeys = n, .prefetchHist = true});
+     }},
+    {"samplesort", &kSort, nullptr, Static, [](Size n) {
+         return make<SampleSortApp>(SampleSortConfig{.numKeys = n});
+     }},
+    {"samplesort-prefetch", &kSort, nullptr, Static, [](Size n) {
+         return make<SampleSortApp>(
+             SampleSortConfig{.numKeys = n, .prefetchCopy = true});
+     }},
+    {"raytrace", &kRaytrace, "raytrace-nostatslock", Dynamic, [](Size n) {
+         return make<RaytraceApp>(RaytraceConfig{.imageSide = narrow(n)});
+     }},
+    {"raytrace-nostatslock", &kRaytrace, nullptr, Dynamic, [](Size n) {
+         return make<RaytraceApp>(
+             RaytraceConfig{.imageSide = narrow(n), .statsLock = false});
+     }},
+    {"shearwarp", &kVolume, "shearwarp-locality", Dynamic, [](Size n) {
+         return make<ShearWarpApp>(ShearWarpConfig{.volDim = narrow(n)});
+     }},
+    {"shearwarp-locality", &kVolume, nullptr, Static, [](Size n) {
+         return make<ShearWarpApp>(
+             ShearWarpConfig{.volDim = narrow(n), .restructured = true});
+     }},
+    {"volrend", &kVolume, "volrend-balanced", Dynamic, [](Size n) {
+         return make<VolrendApp>(VolrendConfig{.volDim = narrow(n)});
+     }},
+    {"volrend-balanced", &kVolume, nullptr, Dynamic, [](Size n) {
+         return make<VolrendApp>(
+             VolrendConfig{.volDim = narrow(n), .balancedInit = true});
+     }},
+    {"water-nsq", &kWater, "water-nsq-interchanged", Static,
+     [](Size n) { return make<WaterNsqApp>(WaterNsqConfig{.numMols = n}); }},
+    {"water-nsq-interchanged", &kWater, nullptr, Static, [](Size n) {
+         return make<WaterNsqApp>(
+             WaterNsqConfig{.numMols = n, .interchanged = true});
+     }},
+    {"water-spatial", &kWater, "", Static,
+     [](Size n) { return make<WaterSpApp>(WaterSpConfig{.numMols = n}); }},
+};
+
+const Row*
+find(const std::string& name)
+{
+    for (const Row& r : kRows)
+        if (name == r.name)
+            return &r;
+    return nullptr;
+}
+
+/// The row named exactly `name`.
+/// @throws std::invalid_argument listing every valid name.
+const Row&
+row(const std::string& name)
+{
+    if (const Row* r = find(name))
+        return *r;
     std::string msg = "unknown app: " + name + "; valid names:";
     for (const std::string& known : listApps())
         msg += " " + known;
     throw std::invalid_argument(msg);
 }
 
-/// `size` for an app whose config holds it in an int: a larger size
-/// would wrap to another (or a negative) problem.
-int
-intSize(const std::string& name, std::uint64_t size)
+std::vector<std::string>
+names(bool originalsOnly)
 {
-    if (size > INT_MAX)
-        throw std::invalid_argument(name + ": size " +
-                                    std::to_string(size) + " exceeds " +
-                                    std::to_string(INT_MAX));
-    return static_cast<int>(size);
+    std::vector<std::string> out;
+    for (const Row& r : kRows)
+        if (!originalsOnly || r.restructured)
+            out.emplace_back(r.name);
+    return out;
 }
 
 } // namespace
@@ -47,219 +211,71 @@ intSize(const std::string& name, std::uint64_t size)
 std::uint64_t
 basicSize(const std::string& name)
 {
-    if (name.rfind("fft", 0) == 0)
-        return 1u << 20; // 2^20 points (Table 2)
-    if (name.rfind("ocean", 0) == 0)
-        return 1026; // 1026x1026 grids
-    if (name.rfind("radix", 0) == 0 || name.rfind("samplesort", 0) == 0)
-        return 1u << 22; // 4M keys
-    if (name.rfind("barnes", 0) == 0)
-        return 16384; // 16K bodies
-    if (name.rfind("water-nsq", 0) == 0)
-        return 4096; // molecules
-    if (name.rfind("water-spatial", 0) == 0)
-        return 4096;
-    if (name.rfind("raytrace", 0) == 0)
-        return 128; // 128x128 image (ball)
-    if (name.rfind("volrend", 0) == 0)
-        return 256; // 256^3 head
-    if (name.rfind("shearwarp", 0) == 0)
-        return 256; // 256^3 head
-    if (name.rfind("infer", 0) == 0)
-        return 422; // CPCS-422
-    if (name.rfind("protein", 0) == 0)
-        return 16; // helix16
-    throwUnknownApp(name);
+    return row(name).family->basic;
+}
+
+std::uint64_t
+goldenSize(const std::string& name)
+{
+    return row(name).family->golden;
 }
 
 std::string
 sizeUnit(const std::string& name)
 {
-    if (name.rfind("fft", 0) == 0)
-        return "points";
-    if (name.rfind("ocean", 0) == 0)
-        return "grid";
-    if (name.rfind("radix", 0) == 0 || name.rfind("samplesort", 0) == 0)
-        return "keys";
-    if (name.rfind("barnes", 0) == 0)
-        return "bodies";
-    if (name.rfind("water", 0) == 0)
-        return "molecules";
-    if (name.rfind("raytrace", 0) == 0)
-        return "image side";
-    if (name.rfind("volrend", 0) == 0 || name.rfind("shearwarp", 0) == 0)
-        return "volume side";
-    if (name.rfind("infer", 0) == 0)
-        return "cliques";
-    if (name.rfind("protein", 0) == 0)
-        return "helix leaves";
-    return "size";
+    return row(name).family->unit;
 }
 
 const std::vector<std::string>&
 listApps()
 {
-    static const std::vector<std::string> names = {
-        "barnes",       "barnes-mergetree",
-        "barnes-spatial",
-        "fft",          "fft-implicit",
-        "fft-nostagger", "fft-prefetch",
-        "infer",        "infer-static",
-        "ocean",        "ocean-rowwise",
-        "protein",      "protein-noregroup",
-        "radix",        "radix-prefetch",
-        "raytrace",     "raytrace-nostatslock",
-        "samplesort",   "samplesort-prefetch",
-        "shearwarp",    "shearwarp-locality",
-        "volrend",      "volrend-balanced",
-        "water-nsq",    "water-nsq-interchanged",
-        "water-spatial",
-    };
-    return names;
+    static const std::vector<std::string> sorted = [] {
+        std::vector<std::string> v = names(false);
+        std::sort(v.begin(), v.end());
+        return v;
+    }();
+    return sorted;
 }
 
 AppPtr
 tryMakeApp(const std::string& name, std::uint64_t size)
 {
-    for (const std::string& known : listApps())
-        if (known == name)
-            return makeApp(name, size);
-    return nullptr;
+    return find(name) ? makeApp(name, size) : nullptr;
 }
 
 AppPtr
 makeApp(const std::string& name, std::uint64_t size)
 {
+    const Row& r = row(name);
     if (size == 0)
-        size = basicSize(name);
-
-    if (name == "fft" || name == "fft-nostagger" ||
-        name == "fft-prefetch" || name == "fft-implicit") {
-        FftConfig c;
-        c.logPoints = std::bit_width(size) - 1;
-        if (c.logPoints % 2)
-            ++c.logPoints;
-        c.stagger = name != "fft-nostagger";
-        c.prefetch = name == "fft-prefetch";
-        c.implicitTranspose = name == "fft-implicit";
-        return std::make_unique<FftApp>(c);
-    }
-    if (name == "ocean" || name == "ocean-rowwise") {
-        OceanConfig c;
-        c.n = size;
-        c.rowwise = name == "ocean-rowwise";
-        return std::make_unique<OceanApp>(c);
-    }
-    if (name == "radix" || name == "radix-prefetch") {
-        RadixConfig c;
-        c.numKeys = size;
-        c.prefetchHist = name == "radix-prefetch";
-        return std::make_unique<RadixApp>(c);
-    }
-    if (name == "samplesort" || name == "samplesort-prefetch") {
-        SampleSortConfig c;
-        c.numKeys = size;
-        c.prefetchCopy = name == "samplesort-prefetch";
-        return std::make_unique<SampleSortApp>(c);
-    }
-    if (name.rfind("barnes", 0) == 0) {
-        BarnesConfig c;
-        c.numBodies = size;
-        c.variant = name == "barnes-mergetree" ? BarnesVariant::MergeTree
-                    : name == "barnes-spatial" ? BarnesVariant::Spatial
-                                               : BarnesVariant::Original;
-        return std::make_unique<BarnesApp>(c);
-    }
-    if (name == "water-nsq" || name == "water-nsq-interchanged") {
-        WaterNsqConfig c;
-        c.numMols = size;
-        c.interchanged = name == "water-nsq-interchanged";
-        return std::make_unique<WaterNsqApp>(c);
-    }
-    if (name == "water-spatial") {
-        WaterSpConfig c;
-        c.numMols = size;
-        return std::make_unique<WaterSpApp>(c);
-    }
-    if (name == "raytrace" || name == "raytrace-nostatslock") {
-        RaytraceConfig c;
-        c.imageSide = intSize(name, size);
-        c.statsLock = name == "raytrace";
-        return std::make_unique<RaytraceApp>(c);
-    }
-    if (name == "volrend" || name == "volrend-balanced") {
-        VolrendConfig c;
-        c.volDim = intSize(name, size);
-        c.balancedInit = name == "volrend-balanced";
-        return std::make_unique<VolrendApp>(c);
-    }
-    if (name == "shearwarp" || name == "shearwarp-locality") {
-        ShearWarpConfig c;
-        c.volDim = intSize(name, size);
-        c.restructured = name == "shearwarp-locality";
-        return std::make_unique<ShearWarpApp>(c);
-    }
-    if (name == "infer" || name == "infer-static") {
-        InferConfig c;
-        c.numCliques = intSize(name, size);
-        c.staticWithinClique = name == "infer-static";
-        return std::make_unique<InferApp>(c);
-    }
-    if (name == "protein" || name == "protein-noregroup") {
-        ProteinConfig c;
-        c.leaves = intSize(name, size);
-        c.regroup = name == "protein";
-        return std::make_unique<ProteinApp>(c);
-    }
-    throwUnknownApp(name);
+        size = r.family->basic;
+    // An int-sized config would wrap a larger size to another (or a
+    // negative) problem.
+    if (r.family->intSized && size > INT_MAX)
+        throw std::invalid_argument(name + ": size " +
+                                    std::to_string(size) + " exceeds " +
+                                    std::to_string(INT_MAX));
+    return r.make(size);
 }
 
 bool
 timingInvariant(const std::string& name)
 {
-    // Task-queue apps: TaskQueues::fullestVictim picks steal victims by
-    // scanning queue occupancy, which depends on who ran when; the
-    // dequeue order itself is contention-dependent. barnes-mergetree:
-    // each process's merge work scales with its arrival rank at the
-    // merge lock. All other apps partition work statically (by process
-    // id and problem size), so their op streams are timing-invariant.
-    return !(name == "infer" || name == "infer-static" ||
-             name == "raytrace" || name == "raytrace-nostatslock" ||
-             name == "volrend" || name == "volrend-balanced" ||
-             name == "shearwarp" || name == "barnes-mergetree");
+    return row(name).work == Static;
 }
 
 const std::vector<std::string>&
 originalApps()
 {
-    static const std::vector<std::string> names = {
-        "barnes", "infer",       "fft",     "ocean",
-        "protein", "radix",      "raytrace", "shearwarp",
-        "volrend", "water-nsq",  "water-spatial",
-    };
-    return names;
+    static const std::vector<std::string> originals = names(true);
+    return originals;
 }
 
 std::string
 restructuredVariant(const std::string& original)
 {
-    if (original == "barnes")
-        return "barnes-spatial";
-    if (original == "radix")
-        return "samplesort";
-    if (original == "water-nsq")
-        return "water-nsq-interchanged";
-    if (original == "shearwarp")
-        return "shearwarp-locality";
-    if (original == "infer")
-        return "infer-static";
-    if (original == "raytrace")
-        return "raytrace-nostatslock";
-    if (original == "volrend")
-        return "volrend-balanced";
-    if (original == "ocean")
-        return "ocean-rowwise";
-    return "";
+    const char* variant = row(original).restructured;
+    return variant ? variant : "";
 }
 
 } // namespace ccnuma::apps

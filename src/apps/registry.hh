@@ -1,9 +1,11 @@
 /**
  * @file
- * Application registry: build any application (and variant) by name
- * with a problem-size parameter, and the table of "basic" problem
- * sizes corresponding to the paper's Table 2 (scaled where the paper's
- * size is beyond what direct simulation can cover; see DESIGN.md).
+ * Application registry: one table row per registered name (the eleven
+ * originals of the paper's Table 2 and every variant) holding all its
+ * facts: factory, basic and golden sizes, size unit, restructured
+ * variant and timing invariance. Every function here looks a name up
+ * exactly; an unknown name throws std::invalid_argument whose message
+ * lists every valid name (tryMakeApp returns nullptr instead).
  */
 
 #ifndef CCNUMA_APPS_REGISTRY_HH
@@ -18,31 +20,29 @@
 namespace ccnuma::apps {
 
 /**
- * Create an application by name.
- *
- * Names: "fft", "ocean", "ocean-rowwise", "radix", "samplesort",
- * "barnes", "barnes-mergetree", "barnes-spatial", "water-nsq",
- * "water-nsq-interchanged", "water-spatial", "raytrace",
- * "raytrace-nostatslock", "volrend", "volrend-balanced", "shearwarp",
- * "shearwarp-locality", "infer", "infer-static", "protein",
- * "protein-noregroup".
+ * Create an application by name (one of listApps()).
  *
  * `size` is the app's natural problem-size unit (see basicSize());
  * size == 0 means the basic size.
  *
- * @throws std::invalid_argument for unknown names; the message lists
- * every valid name.
+ * @throws std::invalid_argument for an unknown name, or a size the
+ * app's config cannot hold.
  */
 AppPtr makeApp(const std::string& name, std::uint64_t size = 0);
 
 /// Non-throwing makeApp: nullptr for unknown names.
 AppPtr tryMakeApp(const std::string& name, std::uint64_t size = 0);
 
-/// Every constructible name: the eleven originals plus all variants.
+/// Every constructible name, sorted: the eleven originals plus all
+/// variants.
 const std::vector<std::string>& listApps();
 
 /// The app's basic problem size (Table 2, scaled per DESIGN.md).
 std::uint64_t basicSize(const std::string& name);
+
+/// The app's golden-metrics size: small enough for every app to run
+/// in test time (golden metrics, tests, perfbench grids).
+std::uint64_t goldenSize(const std::string& name);
 
 /// Human-readable unit of the size parameter ("points", "molecules"..).
 std::string sizeUnit(const std::string& name);
@@ -63,11 +63,13 @@ std::string sizeUnit(const std::string& name);
  */
 bool timingInvariant(const std::string& name);
 
-/// The canonical names of the eleven applications' original versions.
+/// The canonical names of the eleven applications' original versions,
+/// in Fig. 2's row order.
 const std::vector<std::string>& originalApps();
 
-/// Mapping of original name -> restructured variant name ("" if the
-/// paper restructures it by problem size only).
+/// Mapping of original name -> restructured variant name ("" for a
+/// variant, or an original the paper restructures by problem size
+/// only).
 std::string restructuredVariant(const std::string& original);
 
 } // namespace ccnuma::apps

@@ -30,7 +30,10 @@ class SampleSortApp : public App
   public:
     explicit SampleSortApp(const SampleSortConfig& cfg) : cfg_(cfg) {}
 
-    std::string name() const override { return "samplesort"; }
+    std::string name() const override
+    {
+        return cfg_.prefetchCopy ? "samplesort-prefetch" : "samplesort";
+    }
     void setup(sim::Machine& m) override;
     sim::Machine::Program program() override;
 

@@ -57,25 +57,7 @@ constexpr CounterField kCounters[] = {
 std::uint64_t
 goldenSize(const std::string& app)
 {
-    if (app.rfind("fft", 0) == 0)
-        return 1u << 14;
-    if (app.rfind("ocean", 0) == 0)
-        return 130;
-    if (app.rfind("radix", 0) == 0 || app.rfind("samplesort", 0) == 0)
-        return 1u << 16;
-    if (app.rfind("barnes", 0) == 0)
-        return 2048;
-    if (app.rfind("water", 0) == 0)
-        return 512;
-    if (app.rfind("raytrace", 0) == 0)
-        return 32;
-    if (app.rfind("volrend", 0) == 0 || app.rfind("shearwarp", 0) == 0)
-        return 32;
-    if (app.rfind("infer", 0) == 0)
-        return 64;
-    if (app.rfind("protein", 0) == 0)
-        return 8;
-    return 0;
+    return apps::goldenSize(app);
 }
 
 GoldenSnapshot
@@ -85,7 +67,7 @@ computeGolden(int procs)
     snap.procs = procs;
     const sim::MachineConfig cfg = sim::MachineConfig::origin2000(procs);
     for (const std::string& name : apps::listApps()) {
-        const std::uint64_t size = goldenSize(name);
+        const std::uint64_t size = apps::goldenSize(name);
         const core::Measurement m = core::measure(
             cfg, [&] { return apps::makeApp(name, size); });
         GoldenEntry e;

@@ -57,11 +57,12 @@ struct GoldenSnapshot {
     std::vector<GoldenEntry> entries;
 };
 
-/// The small per-app problem size the snapshot uses (mirrors the
-/// integration tests' sizes so the suite stays fast).
+/// apps::goldenSize. Kept only because perfbench calls it and the
+/// benchmark harness changes only with the benchmark; new code must
+/// not call it.
 std::uint64_t goldenSize(const std::string& app);
 
-/// Run every apps::listApps() variant at goldenSize() on an
+/// Run every apps::listApps() variant at apps::goldenSize() on an
 /// origin2000(procs) machine and collect the golden numbers.
 GoldenSnapshot computeGolden(int procs = 4);
 

@@ -89,7 +89,7 @@ StressProgram
 generate(const StressOptions& opt)
 {
     StressProgram prog;
-    const int procs = std::max(1, opt.procs);
+    const int procs = opt.procs;
     const int perProc = std::max(0, opt.opsPerProc);
     const int barriers = std::max(0, opt.barriers);
     prog.ops.resize(static_cast<std::size_t>(procs));
@@ -216,9 +216,7 @@ execute(const StressProgram& prog, const StressOptions& opt,
     rep.opsExecuted = prog.numOps();
 
     sim::MachineConfig cfg = opt.machine;
-    cfg.numProcs = std::max(1, prog.procs());
-    if (cfg.procsPerNode < 1 || cfg.numProcs % cfg.procsPerNode != 0)
-        cfg.procsPerNode = 1;
+    cfg.numProcs = prog.procs();
     cfg.check.validateEvery = opt.validateEvery;
     cfg.check.mutation = opt.mutation;
 

@@ -9,6 +9,7 @@
 
 #include <cstdio>
 #include <functional>
+#include <optional>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -42,6 +43,23 @@ ull(std::uint64_t v)
     return v;
 }
 
+/// Usage error (exit 2) for the first of `procs` that does not make a
+/// valid `base` machine; nullopt when all do. Every subcommand checks
+/// its processor counts before any work.
+std::optional<int>
+badProcs(const Command& cmd, sim::MachineConfig base,
+         const std::vector<int>& procs)
+{
+    for (const int p : procs) {
+        base.numProcs = p;
+        const std::string err = base.validate();
+        if (!err.empty())
+            return core::cli::usageError(
+                cmd, "procs=" + std::to_string(p) + ": " + err);
+    }
+    return std::nullopt;
+}
+
 struct StressArgs {
     check::StressOptions base; ///< seed, procs, ops and the machine.
     std::uint64_t seeds = 1;
@@ -50,8 +68,10 @@ struct StressArgs {
 };
 
 int
-runStress(StressArgs& a, const Command&)
+runStress(StressArgs& a, const Command& cmd)
 {
+    if (const auto rc = badProcs(cmd, a.base.machine, {a.base.procs}))
+        return *rc;
     if (a.mutate)
         a.base.mutation = sim::CheckMutation::SkipInvalidation;
 
@@ -114,6 +134,8 @@ runGolden(const GoldenArgs& a, const Command& cmd)
     if (hasOut && !a.check.empty())
         return core::cli::usageError(cmd,
                                      "--out and --check are exclusive");
+    if (const auto rc = badProcs(cmd, {}, {a.procs}))
+        return *rc;
 
     const check::GoldenSnapshot current = check::computeGolden(a.procs);
 
@@ -232,6 +254,8 @@ runRaces(RacesArgs& a, const Command& cmd)
 {
     if (!a.app.empty() && a.all)
         return core::cli::usageError(cmd, "--app and --all are exclusive");
+    if (const auto rc = badProcs(cmd, a.machine, {a.procs}))
+        return *rc;
     a.machine.numProcs = a.procs;
     if (a.mutate)
         return runRaceMutate(a);
@@ -300,6 +324,8 @@ runDiagnose(DiagnoseArgs& a, const Command& cmd)
 {
     if (!a.app.empty() && a.all)
         return core::cli::usageError(cmd, "--app and --all are exclusive");
+    if (const auto rc = badProcs(cmd, a.machine, a.opt.procs))
+        return *rc;
     diagnose::DiagnoseOptions& dopt = a.opt;
     dopt.protocol = a.machine.protocol;
     dopt.dirFormat = a.machine.dirFormat;
@@ -384,7 +410,7 @@ oracleSweep(const sim::MachineConfig& combo,
         cfg.dirFormat = combo.dirFormat;
         sim::Machine m(cfg);
         const apps::AppPtr app =
-            apps::makeApp(name, check::goldenSize(name));
+            apps::makeApp(name, apps::goldenSize(name));
         app->setup(m);
         check::ScOracle oracle(m.mem());
         m.mem().attachCommitObserver(&oracle);
@@ -430,7 +456,12 @@ struct ProtocolsArgs {
 int
 runProtocols(const ProtocolsArgs& a, const Command& cmd)
 {
-    // Names are checked before the first combination's minutes of work.
+    // Processor counts and names are checked before the first
+    // combination's minutes of work.
+    if (const auto rc = badProcs(cmd, a.stress.machine, {a.stress.procs}))
+        return *rc;
+    if (const auto rc = badProcs(cmd, {}, a.diagProcs))
+        return *rc;
     std::vector<std::string> diagApps;
     std::istringstream appList(a.apps);
     for (std::string app; std::getline(appList, app, ',');) {

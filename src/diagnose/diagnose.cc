@@ -7,7 +7,6 @@
 #include <stdexcept>
 
 #include "apps/registry.hh"
-#include "check/golden.hh"
 #include "core/study_runner.hh"
 #include "obs/json.hh"
 
@@ -474,10 +473,9 @@ AppDiagnosis::score(Cause c) const
 AppDiagnosis
 diagnoseApp(const std::string& name, const DiagnoseOptions& opt)
 {
-    if (!apps::tryMakeApp(name))
-        apps::makeApp(name); // throws with the name list
-    const std::uint64_t size =
-        opt.size ? opt.size : check::goldenSize(name);
+    // Throws for an unknown name before any run starts.
+    const std::uint64_t golden = apps::goldenSize(name);
+    const std::uint64_t size = opt.size ? opt.size : golden;
     return diagnoseImpl(
         name, [name, size] { return apps::makeApp(name, size); }, size,
         opt);

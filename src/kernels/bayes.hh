@@ -20,7 +20,6 @@ struct Clique {
     std::vector<int> children;
     int vars = 2;               ///< Number of binary variables.
     std::vector<double> table;  ///< 2^vars potentials.
-    std::size_t tableSize() const { return table.size(); }
     /// Multiply-add work to absorb/emit one message.
     std::uint64_t cost() const
     {

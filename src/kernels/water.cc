@@ -34,14 +34,6 @@ latticeMolecules(std::size_t n, double box, std::uint64_t seed)
     return mols;
 }
 
-double
-ljPotential(double r2)
-{
-    const double inv2 = 1.0 / r2;
-    const double inv6 = inv2 * inv2 * inv2;
-    return 4.0 * (inv6 * inv6 - inv6);
-}
-
 namespace {
 
 /// Minimum-image displacement b - a in a periodic box.

@@ -25,9 +25,6 @@ struct Molecule {
 std::vector<Molecule> latticeMolecules(std::size_t n, double box,
                                        std::uint64_t seed);
 
-/// Lennard-Jones potential/force magnitude at squared distance r2.
-double ljPotential(double r2);
-
 /// O(n^2) half-pairs evaluation within `cutoff`; accumulates forces,
 /// returns total potential energy. Minimum-image periodic boundary.
 double forcesNsquared(std::vector<Molecule>& mols, double box,

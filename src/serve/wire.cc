@@ -1,7 +1,7 @@
 #include "serve/wire.hh"
 
-#include <algorithm>
 #include <cmath>
+#include <utility>
 
 #include "apps/registry.hh"
 #include "check/json.hh"
@@ -173,9 +173,7 @@ parseRequest(const std::string& line)
     if (req.type == Request::Type::Study) {
         if (req.app.empty())
             return reject(id, "bad-request", "study needs 'app'");
-        const std::vector<std::string>& known = apps::listApps();
-        if (std::find(known.begin(), known.end(), req.app) ==
-            known.end())
+        if (!apps::tryMakeApp(req.app))
             return reject(id, "bad-request",
                           "unknown app '" + req.app + "'");
         if (req.procs.empty())

@@ -242,25 +242,6 @@ struct MachineConfig {
                              cacheAssoc);
     }
 
-    /// End-to-end local miss latency (Table 1 "Local").
-    Cycles localMissCycles() const
-    {
-        return 2 * procCycles + 2 * hubCycles + dirCycles + memCycles;
-    }
-    /// Fixed (distance-independent) part of a remote clean miss.
-    Cycles remoteCleanBaseCycles() const
-    {
-        return 2 * procCycles + 4 * hubCycles + dirCycles + memCycles +
-               2 * linkCycles;
-    }
-    /// Fixed extra cycles a dirty-remote (3-hop) transaction adds on top
-    /// of a clean-remote one; the extra network legs (requester->home->
-    /// owner->requester versus a simple round trip) add on top.
-    Cycles dirtyExtraCycles() const
-    {
-        return 2 * hubCycles + protocol.interventionCycles;
-    }
-
     /// Validate invariants; returns an error string or empty on success.
     std::string validate() const;
 

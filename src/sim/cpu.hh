@@ -224,7 +224,6 @@ class Cpu
     // ---- accounting hooks used by Machine's sync layer ----
     ProcStats& stats() { return *stats_; }
     const ProcStats& stats() const { return *stats_; }
-    void setNow(Cycles t) { now_ = t; }
     void attachTrace(obs::Trace* t) { trace_ = t; }
     /// Mirror every operation this processor issues into `r` (trace
     /// recording; see sim/recorder.hh).

@@ -73,12 +73,6 @@ MemSys::netLeg(NodeId from, NodeId to, Cycles arrival)
     return lat;
 }
 
-NodeId
-MemSys::homeOf(ProcId p, Addr addr)
-{
-    return pageTable_.home(addr, procNode_[p]);
-}
-
 Cycles
 MemSys::pureFetch(NodeId me, NodeId home) const
 {

@@ -86,15 +86,6 @@ class PendingFills
     std::vector<std::pair<LineAddr, Cycles>> v_;
 };
 
-/** Classification of a completed access, for accounting. */
-enum class AccessClass : std::uint8_t {
-    Hit,
-    LocalMiss,
-    RemoteClean,
-    RemoteDirty,
-    Upgrade,
-};
-
 /**
  * The shared memory system of one simulated machine.
  *
@@ -139,9 +130,6 @@ class MemSys
     Cycles pureFetchOp(NodeId me, NodeId home) const;
     /// Home node used for synchronization variables at `addr`.
     NodeId syncHomeOf(Addr addr) { return pageTable_.home(addr, 0); }
-
-    /// Home node of the page containing `addr` (first-touching as `p`).
-    NodeId homeOf(ProcId p, Addr addr);
 
     /// Explicit manual placement passthrough.
     void place(Addr addr, std::uint64_t bytes, NodeId node)

@@ -75,7 +75,6 @@ class PageTable
         return noteAccessSlow(addr, accessor);
     }
 
-    std::uint64_t pageOf(Addr addr) const { return addr >> pageShift_; }
     std::uint64_t totalMigrations() const { return totalMigrations_; }
 
     /// Number of pages currently homed at each node (placed pages only).

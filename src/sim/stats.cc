@@ -69,13 +69,4 @@ RunResult::totals() const
     return sum;
 }
 
-Cycles
-RunResult::aggregateCycles() const
-{
-    Cycles sum = 0;
-    for (const ProcStats& ps : procs)
-        sum += ps.t.total();
-    return sum;
-}
-
 } // namespace ccnuma::sim

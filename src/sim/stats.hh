@@ -104,8 +104,6 @@ struct RunResult {
     Breakdown breakdown(int p) const;
     /// Aggregate counters summed over processors.
     ProcCounters totals() const;
-    /// Sum of all time categories over processors (cost metric).
-    Cycles aggregateCycles() const;
 };
 
 /// speedup = seq_time / par_time.

@@ -16,31 +16,6 @@ using namespace ccnuma;
 
 namespace {
 
-/// Small problem size per app for fast tests.
-std::uint64_t
-testSize(const std::string& name)
-{
-    if (name.rfind("fft", 0) == 0)
-        return 1u << 14;
-    if (name.rfind("ocean", 0) == 0)
-        return 130;
-    if (name.rfind("radix", 0) == 0 || name.rfind("samplesort", 0) == 0)
-        return 1u << 16;
-    if (name.rfind("barnes", 0) == 0)
-        return 2048;
-    if (name.rfind("water", 0) == 0)
-        return 512;
-    if (name.rfind("raytrace", 0) == 0)
-        return 32;
-    if (name.rfind("volrend", 0) == 0 || name.rfind("shearwarp", 0) == 0)
-        return 32;
-    if (name.rfind("infer", 0) == 0)
-        return 64;
-    if (name.rfind("protein", 0) == 0)
-        return 8;
-    return 0;
-}
-
 const std::vector<std::string>&
 allVariants()
 {
@@ -94,7 +69,7 @@ TEST(Registry, TryMakeAppBuildsEveryListedName)
 {
     for (const std::string& name : apps::listApps()) {
         const apps::AppPtr app =
-            apps::tryMakeApp(name, testSize(name));
+            apps::tryMakeApp(name, apps::goldenSize(name));
         EXPECT_NE(app, nullptr) << name;
     }
 }
@@ -144,7 +119,7 @@ TEST_P(AppRuns, CompletesOnEightProcs)
 {
     sim::MachineConfig cfg;
     cfg.numProcs = 8;
-    auto app = apps::makeApp(GetParam(), testSize(GetParam()));
+    auto app = apps::makeApp(GetParam(), apps::goldenSize(GetParam()));
     const sim::RunResult r = core::runApp(cfg, *app);
     EXPECT_GT(r.time, 0u);
     // Every processor did *something* (ran to completion).
@@ -155,7 +130,7 @@ TEST_P(AppRuns, CompletesOnEightProcs)
 TEST_P(AppRuns, CompletesOnOneProc)
 {
     const sim::MachineConfig cfg = sim::MachineConfig::uniprocessor();
-    auto app = apps::makeApp(GetParam(), testSize(GetParam()));
+    auto app = apps::makeApp(GetParam(), apps::goldenSize(GetParam()));
     const sim::RunResult r = core::runApp(cfg, *app);
     EXPECT_GT(r.procs[0].t.busy, 0u);
 }
@@ -165,7 +140,7 @@ TEST_P(AppRuns, DeterministicTiming)
     auto once = [&] {
         sim::MachineConfig cfg;
         cfg.numProcs = 4;
-        auto app = apps::makeApp(GetParam(), testSize(GetParam()));
+        auto app = apps::makeApp(GetParam(), apps::goldenSize(GetParam()));
         return core::runApp(cfg, *app).time;
     };
     EXPECT_EQ(once(), once());
@@ -187,7 +162,7 @@ TEST(AppBehaviour, SpeedupIsReasonableAtEightProcs)
     for (const char* name : {"water-nsq", "barnes", "raytrace"}) {
         const sim::MachineConfig cfg = sim::MachineConfig::origin2000(8);
         const auto mres = core::measure(
-            cfg, [&] { return apps::makeApp(name, testSize(name)); });
+            cfg, [&] { return apps::makeApp(name, apps::goldenSize(name)); });
         EXPECT_GT(mres.speedup(), 4.0) << name;
         EXPECT_LT(mres.speedup(), 16.0) << name;
     }
@@ -209,8 +184,37 @@ TEST(AppBehaviour, WaterNsqInterchangeHelpsWhenCacheTooSmall)
 
 TEST(AppBehaviour, RegistryRejectsUnknown)
 {
+    // Names match exactly: a registered name's prefix or extension is
+    // unknown too.
     EXPECT_THROW(apps::makeApp("nosuchapp", 1), std::invalid_argument);
+    EXPECT_THROW(apps::makeApp("barnesfoo"), std::invalid_argument);
+    EXPECT_EQ(apps::tryMakeApp("barnesfoo"), nullptr);
     EXPECT_THROW(apps::basicSize("nosuchapp"), std::invalid_argument);
+    EXPECT_THROW(apps::basicSize("fftx"), std::invalid_argument);
+    EXPECT_THROW(apps::sizeUnit("waterfall"), std::invalid_argument);
+    EXPECT_THROW(apps::goldenSize("nosuch"), std::invalid_argument);
+    EXPECT_THROW(apps::timingInvariant("nosuch"), std::invalid_argument);
+    EXPECT_THROW(apps::restructuredVariant("nosuch"),
+                 std::invalid_argument);
+    EXPECT_EQ(apps::restructuredVariant("fft"), "");
+}
+
+TEST(Registry, EveryAppReportsItsRegisteredName)
+{
+    for (const std::string& name : apps::listApps())
+        EXPECT_EQ(apps::makeApp(name, apps::goldenSize(name))->name(),
+                  name);
+}
+
+TEST(Registry, OrdersAreStable)
+{
+    const auto& listed = apps::listApps();
+    EXPECT_TRUE(std::is_sorted(listed.begin(), listed.end()));
+    const std::vector<std::string> fig2 = {
+        "barnes",   "infer",     "fft",       "ocean",
+        "protein",  "radix",     "raytrace",  "shearwarp",
+        "volrend",  "water-nsq", "water-spatial"};
+    EXPECT_EQ(apps::originalApps(), fig2);
 }
 
 TEST(AppBehaviour, BasicSizesMatchTable2)
@@ -234,7 +238,7 @@ TEST(AppBehaviour, EveryOriginalHasWorkingRestructuredVariant)
             continue;
         sim::MachineConfig cfg;
         cfg.numProcs = 4;
-        auto app = apps::makeApp(restr, testSize(restr));
+        auto app = apps::makeApp(restr, apps::goldenSize(restr));
         EXPECT_GT(core::runApp(cfg, *app).time, 0u) << restr;
     }
 }

@@ -11,7 +11,6 @@
 #include <gtest/gtest.h>
 
 #include "apps/registry.hh"
-#include "check/golden.hh"
 #include "check/oracle.hh"
 #include "sim/machine.hh"
 
@@ -32,7 +31,7 @@ TEST_P(AppOracleSweep, RunsCleanUnderTheOracle)
 
     sim::Machine m(cfg);
     const apps::AppPtr app =
-        apps::makeApp(name, check::goldenSize(name));
+        apps::makeApp(name, apps::goldenSize(name));
     app->setup(m);
 
     check::ScOracle oracle(m.mem());

@@ -23,7 +23,6 @@
 
 #include "analyze/sweep.hh"
 #include "apps/registry.hh"
-#include "check/golden.hh"
 #include "check/oracle.hh"
 #include "check/shrink.hh"
 #include "check/stress.hh"
@@ -71,7 +70,7 @@ TEST_P(ProtocolComboSweep, AllAppsRunCleanUnderTheOracle)
 
         sim::Machine m(cfg);
         const apps::AppPtr app =
-            apps::makeApp(name, check::goldenSize(name));
+            apps::makeApp(name, apps::goldenSize(name));
         app->setup(m);
 
         check::ScOracle oracle(m.mem());

@@ -24,7 +24,6 @@
 #include "apps/input_cache.hh"
 #include "apps/registry.hh"
 #include "bit_identity.hh"
-#include "check/golden.hh"
 #include "core/study_runner.hh"
 #include "sim/config.hh"
 
@@ -35,7 +34,7 @@ namespace {
 core::AppFactory
 goldenFactory(const std::string& name)
 {
-    return [name] { return apps::makeApp(name, check::goldenSize(name)); };
+    return [name] { return apps::makeApp(name, apps::goldenSize(name)); };
 }
 
 /// `name` at goldenSize() on each configuration in `cfgs`, one cell
@@ -120,7 +119,7 @@ apps::AppPtr
 barnes(apps::BarnesVariant variant, std::uint64_t seed)
 {
     apps::BarnesConfig c;
-    c.numBodies = check::goldenSize("barnes");
+    c.numBodies = apps::goldenSize("barnes");
     c.variant = variant;
     c.seed = seed;
     return std::make_unique<apps::BarnesApp>(c);

@@ -19,7 +19,6 @@
 #include "apps/registry.hh"
 #include "apps/trace.hh"
 #include "bit_identity.hh"
-#include "check/golden.hh"
 #include "core/metrics.hh"
 #include "sim/config.hh"
 #include "sim/machine.hh"
@@ -93,7 +92,7 @@ std::vector<std::vector<apps::TraceOp>>
 streamsWithoutCheckpoints(const std::string& name,
                           const sim::MachineConfig& cfg)
 {
-    auto app = apps::makeApp(name, check::goldenSize(name));
+    auto app = apps::makeApp(name, apps::goldenSize(name));
     std::vector<std::vector<apps::TraceOp>> ops =
         recordTrace(cfg, *app).trace.ops;
     for (std::vector<apps::TraceOp>& stream : ops)
