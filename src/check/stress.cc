@@ -371,6 +371,18 @@ execute(const StressProgram& prog, const StressOptions& opt,
             h = fnv1a(h, st.c.lockAcquires);
             h = fnv1a(h, st.c.barriersPassed);
         }
+        // The final directory, in address order: every held entry's
+        // line, state, owner, overflow flag and sharers.
+        m.mem().directory().forEach(
+            [&](sim::LineAddr line, const sim::DirEntry& e) {
+                h = fnv1a(h, line);
+                h = fnv1a(h, static_cast<std::uint64_t>(e.state));
+                h = fnv1a(h, static_cast<std::uint64_t>(e.owner));
+                h = fnv1a(h, e.overflow);
+                e.sharers.forEach([&](sim::ProcId s) {
+                    h = fnv1a(h, static_cast<std::uint64_t>(s));
+                });
+            });
         rep.stateHash = h;
     } catch (const std::exception& e) {
         rep.failed = true;

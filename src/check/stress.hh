@@ -15,7 +15,7 @@
  * deterministic, the generator uses the repo's own xoshiro Rng, and
  * oracle violations are recorded rather than thrown — so a failing
  * seed re-runs bit-identically (StressReport::operator== compares a
- * hash of the complete per-processor timing/counter state). Explicit
+ * hash of the complete timing, counter and directory state). Explicit
  * op traces are what makes automatic shrinking possible: see
  * shrink.hh.
  */
@@ -124,7 +124,11 @@ struct StressReport {
     std::uint64_t validations = 0;
     std::uint64_t opsExecuted = 0; ///< Trace ops over all processors.
     sim::Cycles finalTime = 0;
-    std::uint64_t stateHash = 0; ///< FNV-1a over all times+counters.
+    /// FNV-1a over the final time, the commit count, every
+    /// processor's times and counters, and the final directory (each
+    /// held entry's line, state, owner, overflow flag and sharers, in
+    /// address order): one run's cycles, counters and coherence state.
+    std::uint64_t stateHash = 0;
 
     bool operator==(const StressReport&) const = default;
 };

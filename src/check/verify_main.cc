@@ -660,10 +660,9 @@ runModel(const ModelArgs& a, const Command& cmd)
     if (!a.dirFormat.empty())
         fmtSel = {a.dirFormat};
 
-    core::MetricsSink sink(a.json);
-    const bool mutated = mutation != sim::CheckMutation::None;
-    std::uint64_t bad = 0;
-    std::uint64_t combosRun = 0;
+    // Every requested combination must name a machine before any
+    // runs, so a usage error never follows printed results.
+    std::vector<model::CheckOptions> checks;
     for (const std::string& pn : protoSel) {
         for (const std::string& fn : fmtSel) {
             for (const int p : a.procs) {
@@ -674,34 +673,39 @@ runModel(const ModelArgs& a, const Command& cmd)
                 o.maxStates = a.maxStates;
                 o.mutation = mutation;
                 o.symmetry = !a.noSymmetry;
-                const model::CheckResult r = model::runCheck(o);
-                if (r.invariant == "config")
+                if (std::string err = model::configError(o); !err.empty())
                     return core::cli::usageError(
                         cmd, pn + " x " + fn + " P=" + std::to_string(p) +
-                                 ": " + r.detail);
-                ++combosRun;
-                std::printf("%s", model::formatResult(r).c_str());
-                model::emit(sink, r);
-                if (mutated) {
-                    // Inverted contract: the corruption must be
-                    // caught, with an executable counterexample
-                    // short enough to read (the BFS guarantees
-                    // shortest; 20 is the acceptance ceiling).
-                    const bool caught =
-                        !r.ok && !r.truncated && r.replayed &&
-                        r.counterexample.size() <= 20;
-                    if (!caught) {
-                        ++bad;
-                        std::fprintf(stderr,
-                                     "  mutation '%s' NOT caught on "
-                                     "%s x %s P=%d\n",
-                                     a.mutate.c_str(), pn.c_str(),
-                                     fn.c_str(), p);
-                    }
-                } else if (!r.ok) {
-                    ++bad;
-                }
+                                 ": " + err);
+                checks.push_back(std::move(o));
             }
+        }
+    }
+
+    core::MetricsSink sink(a.json);
+    const bool mutated = mutation != sim::CheckMutation::None;
+    std::uint64_t bad = 0;
+    const std::uint64_t combosRun = checks.size();
+    for (const model::CheckOptions& o : checks) {
+        const model::CheckResult r = model::runCheck(o);
+        std::printf("%s", model::formatResult(r).c_str());
+        model::emit(sink, r);
+        if (mutated) {
+            // Inverted contract: the corruption must be caught, with
+            // an executable counterexample short enough to read (the
+            // BFS guarantees shortest; 20 is the acceptance ceiling).
+            const bool caught = !r.ok && !r.truncated && r.replayed &&
+                                r.counterexample.size() <= 20;
+            if (!caught) {
+                ++bad;
+                std::fprintf(stderr,
+                             "  mutation '%s' NOT caught on %s x %s "
+                             "P=%d\n",
+                             a.mutate.c_str(), o.protocol.c_str(),
+                             o.dirFormat.c_str(), o.procs);
+            }
+        } else if (!r.ok) {
+            ++bad;
         }
     }
     if (!sink.write())

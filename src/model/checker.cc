@@ -38,36 +38,38 @@ narrate(const sim::MachineConfig& cfg, const std::vector<Step>& trace)
 
 } // namespace
 
+std::string
+configError(const CheckOptions& opts)
+{
+    sim::ProtocolConfig proto;
+    sim::DirectoryConfig fmt;
+    if (!proto.parse(opts.protocol))
+        return "unknown protocol '" + opts.protocol + "'";
+    if (!fmt.parse(opts.dirFormat))
+        return "unknown dir-format '" + opts.dirFormat + "'";
+    if (opts.procs < 1 || opts.procs > 8)
+        return "procs must be in [1,8] (exhaustive regime)";
+    return World::makeConfig(proto, fmt, opts.procs, opts.mutation)
+        .validate();
+}
+
 CheckResult
 runCheck(const CheckOptions& opts)
 {
     CheckResult r;
     r.opts = opts;
 
+    if (std::string err = configError(opts); !err.empty()) {
+        r.invariant = "config";
+        r.detail = std::move(err);
+        return r;
+    }
     sim::ProtocolConfig proto;
     sim::DirectoryConfig fmt;
-    if (!proto.parse(opts.protocol)) {
-        r.invariant = "config";
-        r.detail = "unknown protocol '" + opts.protocol + "'";
-        return r;
-    }
-    if (!fmt.parse(opts.dirFormat)) {
-        r.invariant = "config";
-        r.detail = "unknown dir-format '" + opts.dirFormat + "'";
-        return r;
-    }
-    if (opts.procs < 1 || opts.procs > 8) {
-        r.invariant = "config";
-        r.detail = "procs must be in [1,8] (exhaustive regime)";
-        return r;
-    }
+    proto.parse(opts.protocol);
+    fmt.parse(opts.dirFormat);
     const sim::MachineConfig cfg =
         World::makeConfig(proto, fmt, opts.procs, opts.mutation);
-    if (std::string err = cfg.validate(); !err.empty()) {
-        r.invariant = "config";
-        r.detail = err;
-        return r;
-    }
 
     // Mutations may break permutation equivariance (see CheckOptions);
     // fall back to the concrete space.

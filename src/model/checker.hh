@@ -63,8 +63,15 @@ struct CheckResult {
     bool replayed = false;
 };
 
+/// Why `opts` names no machine the checker can explore: an unknown
+/// protocol or dir-format, procs outside [1,8] (the exhaustive
+/// regime), or a machine that fails MachineConfig::validate(). Empty
+/// when it names one.
+std::string configError(const CheckOptions& opts);
+
 /// Exhaustively enumerate the reachable states of `opts`'s machine
-/// and check every invariant at every state.
+/// and check every invariant at every state. A configError() comes
+/// back as invariant "config" with the reason in `detail`.
 CheckResult runCheck(const CheckOptions& opts);
 
 /// The ISSUE's verification matrix: every {mesi,moesi,dragon} x

@@ -38,11 +38,6 @@ MachineConfig::validate() const
     if (dirFormat.format != DirFormat::FullBitVector &&
         dirFormat.param < 1)
         err << "dirFormat param (coarse:K / ptr:N) must be >= 1; ";
-    if (check.legacyMesiPath &&
-        (protocol.kind != ProtocolKind::MESI ||
-         dirFormat.format != DirFormat::FullBitVector))
-        err << "check.legacyMesiPath requires protocol=mesi and "
-               "dirFormat=fullbv; ";
     if (trace.any() && trace.epochCycles == 0)
         err << "trace.epochCycles must be nonzero; ";
     if (procsPerNode >= 1 && nodesPerRouter >= 1 &&

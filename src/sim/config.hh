@@ -101,7 +101,12 @@ enum class CheckMutation : std::uint8_t {
 };
 
 /**
- * Verification knobs (the `ccnuma::check` subsystem).
+ * Verification knobs (the `ccnuma::check` subsystem): how often to
+ * sweep the coherence invariants, and which deliberate fault to
+ * inject. There is one protocol engine and one directory, with no
+ * live reference copy to switch to; their exact outcomes are pinned as
+ * stress digests (cycles, counters, final directory state) in
+ * tests/test_protocols.cc.
  */
 struct CheckConfig {
     /// When > 0, the SC oracle attached to this machine re-runs
@@ -111,16 +116,6 @@ struct CheckConfig {
     std::uint64_t validateEvery = 0;
     /// Deliberately broken protocol transition (see CheckMutation).
     CheckMutation mutation = CheckMutation::None;
-    /// Mirror every directory operation into a reference
-    /// std::unordered_map and fail validateCoherence() on divergence —
-    /// the differential-test seam for the page-block directory.
-    /// Costs one map operation per directory operation when on.
-    bool shadowDirectory = false;
-    /// Run MemSys::access through the preserved hard-coded MESI body
-    /// instead of the table-driven protocol engine (bit-identity test
-    /// seam; valid only for protocol=mesi + dirFormat=fullbv). Both
-    /// paths must produce bit-identical runs.
-    bool legacyMesiPath = false;
 };
 
 /**

@@ -4,7 +4,6 @@
 #include <bit>
 #include <cassert>
 #include <memory>
-#include <sstream>
 
 namespace ccnuma::sim {
 
@@ -76,66 +75,6 @@ Directory::freeIfEmpty(std::uint64_t pn)
     ::operator delete(b);
     pages_[pn] = nullptr;
     --blocks_;
-}
-
-DirEntry&
-Directory::shadowLookup(LineAddr line)
-{
-    flushShadow();
-    DirEntry& e = hold(line);
-    // The caller will mutate `e` after we return; mirror it into the
-    // reference map at the *next* Directory call, when the mutations
-    // are complete and `e`'s block has not yet been freed.
-    pendingLine_ = line;
-    pendingEntry_ = &e;
-    return e;
-}
-
-void
-Directory::flushShadow() const
-{
-    if (!pendingEntry_)
-        return;
-    shadow_[pendingLine_] = *pendingEntry_;
-    pendingEntry_ = nullptr;
-}
-
-std::string
-Directory::shadowDiff() const
-{
-    flushShadow();
-    std::ostringstream err;
-    const std::size_t held = size();
-    if (held != shadow_.size()) {
-        err << "directory shadow divergence: blocks hold " << held
-            << " entries, reference has " << shadow_.size();
-        return err.str();
-    }
-    std::string diff;
-    forEach([&](LineAddr line, const DirEntry& e) {
-        if (!diff.empty())
-            return;
-        const auto it = shadow_.find(line);
-        if (it == shadow_.end()) {
-            std::ostringstream os;
-            os << "directory shadow divergence: line 0x" << std::hex
-               << line << " present only in the blocks";
-            diff = os.str();
-        } else if (!(it->second == e)) {
-            std::ostringstream os;
-            os << "directory shadow divergence: line 0x" << std::hex
-               << line << std::dec << " state/owner/sharers mismatch"
-               << " (block state=" << static_cast<int>(e.state)
-               << " owner=" << e.owner
-               << " sharers=" << e.sharers.count()
-               << ", reference state="
-               << static_cast<int>(it->second.state)
-               << " owner=" << it->second.owner
-               << " sharers=" << it->second.sharers.count() << ")";
-            diff = os.str();
-        }
-    });
-    return diff;
 }
 
 } // namespace ccnuma::sim

@@ -22,8 +22,6 @@
 #include <bit>
 #include <cstdint>
 #include <new>
-#include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "sim/protocol.hh"
@@ -149,13 +147,6 @@ forEachFanoutTarget(const DirectoryConfig& fmt, const DirEntry& e,
  * block's last held entry. A line's entry is *held* from its lookup()
  * until its drop(); a line that is not held has no entry (implicitly
  * Uncached), exactly the set a map keyed by line address would hold.
- *
- * Test seam: enableShadow(true) mirrors every operation into a
- * reference std::unordered_map; shadowDiff() reports the first
- * divergence. Because callers mutate the reference lookup() hands out,
- * the mirror copy is deferred to the next Directory call (at which
- * point the caller-side mutations are complete and the block is still
- * allocated).
  */
 class Directory
 {
@@ -173,17 +164,21 @@ class Directory
     DirEntry&
     lookup(LineAddr line)
     {
-        if (shadowOn_) [[unlikely]]
-            return shadowLookup(line);
-        return hold(line);
+        DirEntry* b = blockOf(line);
+        if (!b) [[unlikely]]
+            b = newBlock(line >> pageShift_);
+        const std::uint32_t i = indexOf(line);
+        DirEntry& e = b[i];
+        // A held entry that is not Uncached already has its bit.
+        if (e.state == DirState::Uncached)
+            heldOf(b)[i >> 6] |= std::uint64_t{1} << (i & 63);
+        return e;
     }
 
     /// Entry if held, else nullptr (no allocation).
     const DirEntry*
     probe(LineAddr line) const
     {
-        if (shadowOn_)
-            flushShadow();
         const DirEntry* b = blockOf(line);
         const std::uint32_t i = indexOf(line);
         return b && isHeld(b, i) ? &b[i] : nullptr;
@@ -194,10 +189,6 @@ class Directory
     void
     drop(LineAddr line)
     {
-        if (shadowOn_) {
-            flushShadow();
-            shadow_.erase(line);
-        }
         DirEntry* b = blockOf(line);
         if (!b)
             return;
@@ -222,8 +213,6 @@ class Directory
     void
     forEach(Fn&& fn) const
     {
-        if (shadowOn_)
-            flushShadow();
         for (std::size_t pn = 0; pn < pages_.size(); ++pn) {
             const DirEntry* b = pages_[pn];
             if (!b)
@@ -239,18 +228,6 @@ class Directory
                 }
         }
     }
-
-    // ---- Differential-test seam ----
-
-    /// Mirror every operation into a reference std::unordered_map.
-    /// Enable before first use (entries already present are not
-    /// back-filled).
-    void enableShadow(bool on) { shadowOn_ = on; }
-    bool shadowEnabled() const { return shadowOn_; }
-
-    /// Compare the blocks against the reference map; empty string when
-    /// identical, else a description of the first divergence.
-    std::string shadowDiff() const;
 
   private:
     std::uint32_t
@@ -286,28 +263,11 @@ class Directory
         return (heldOf(b)[i >> 6] >> (i & 63)) & 1;
     }
 
-    DirEntry&
-    hold(LineAddr line)
-    {
-        DirEntry* b = blockOf(line);
-        if (!b) [[unlikely]]
-            b = newBlock(line >> pageShift_);
-        const std::uint32_t i = indexOf(line);
-        DirEntry& e = b[i];
-        // A held entry that is not Uncached already has its bit.
-        if (e.state == DirState::Uncached)
-            heldOf(b)[i >> 6] |= std::uint64_t{1} << (i & 63);
-        return e;
-    }
-
     /// Allocate page `pn`'s block, every entry fresh and unheld. Out
     /// of line: a block lives for many lookups.
     DirEntry* newBlock(std::uint64_t pn);
     /// Free page `pn`'s block if none of its entries is held.
     void freeIfEmpty(std::uint64_t pn);
-
-    DirEntry& shadowLookup(LineAddr line);
-    void flushShadow() const;
 
     /// Page number -> block of linesPerPage_ entries followed by
     /// heldWords_ bitmap words, or nullptr.
@@ -318,14 +278,6 @@ class Directory
     std::uint32_t linesPerPage_;
     std::uint32_t lineMask_;
     std::uint32_t heldWords_;
-
-    // Shadow state is logically part of validation, not simulation;
-    // mutable so const readers (probe/forEach/shadowDiff) can flush
-    // the one deferred mirror write first.
-    bool shadowOn_ = false;
-    mutable std::unordered_map<LineAddr, DirEntry> shadow_;
-    mutable LineAddr pendingLine_ = 0;
-    mutable const DirEntry* pendingEntry_ = nullptr;
 };
 
 } // namespace ccnuma::sim

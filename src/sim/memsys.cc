@@ -31,7 +31,6 @@ MemSys::MemSys(const MachineConfig& cfg, const Topology& topo)
             cfg.cacheBytes, cfg.cacheAssoc, cfg.lineBytes, &proto_));
         procNode_[p] = topo.nodeOfProcess(p);
     }
-    dir_.enableShadow(cfg.check.shadowDirectory);
 }
 
 Cycles
@@ -312,9 +311,6 @@ MemSys::updateSharers(ProcId requester, NodeId home, Cycles now,
 Cycles
 MemSys::access(ProcId p, Cycles now, Addr addr, bool write, ProcStats& st)
 {
-    if (cfg_.check.legacyMesiPath) [[unlikely]]
-        return accessLegacy(p, now, addr, write, st);
-
     if (write)
         ++st.c.stores;
     else
@@ -360,6 +356,9 @@ MemSys::access(ProcId p, Cycles now, Addr addr, bool write, ProcStats& st)
     const NodeId home = pageTable_.home(addr, myNode);
     Cycles migration_stall = 0;
     if (pageTable_.noteAccess(addr, myNode)) {
+        // Page migrated to myNode: the 16 KB copy occupies both
+        // memories (one page of line transfers), and the triggering
+        // access stalls for the full OS/TLB-shootdown latency.
         useResource(memFree_[home], now, cfg_.migrationCycles / 4);
         useResource(memFree_[myNode], now, cfg_.migrationCycles / 4);
         migration_stall = cfg_.migrationCycles;
@@ -480,7 +479,9 @@ MemSys::access(ProcId p, Cycles now, Addr addr, bool write, ProcStats& st)
     if (dirty_elsewhere) {
         // 3-hop: the home forwards to the owner concurrently with its
         // speculative memory read; the owner replies directly to the
-        // requester (see accessLegacy for the latency algebra).
+        // requester. The requester pays the intervention plus however
+        // much the forward leg exceeds the overlapped memory access and
+        // the reply leg exceeds the direct home->requester leg.
         const ProcId owner = e.owner;
         const NodeId on = procNode_[owner];
         const int oidx =
@@ -625,226 +626,6 @@ MemSys::access(ProcId p, Cycles now, Addr addr, bool write, ProcStats& st)
     return lat + migration_stall;
 }
 
-Cycles
-MemSys::accessLegacy(ProcId p, Cycles now, Addr addr, bool write,
-                     ProcStats& st)
-{
-    if (write)
-        ++st.c.stores;
-    else
-        ++st.c.loads;
-    if (traceOn())
-        trace_->onAccess(p, now, addr, write);
-
-    Cache& cache = *caches_[p];
-    const LineAddr line =
-        addr & ~static_cast<Addr>(cfg_.lineBytes - 1);
-    const CacheResult res = cache.access(addr, write);
-
-    if (res.hit && !res.upgrade) {
-        Cycles lat = cfg_.l2HitCycles;
-        PendingFills& pend = pendingFill_[p];
-        if (!pend.empty()) {
-            if (const Cycles* ready = pend.find(line)) {
-                if (*ready > now)
-                    lat += *ready - now;
-                ++st.c.prefetchesUseful;
-                if (traceOn())
-                    trace_->onPrefetchUseful(p, now);
-                pend.erase(line);
-            }
-        }
-        ++st.c.l2Hits;
-        if (traceOn())
-            trace_->onHit(p, now);
-        if (commit_) {
-            if (write)
-                commit_->onStore(p, line);
-            else
-                commit_->onLoad(p, line, DataSource::CacheHit, kNoProc);
-        }
-        if (sync_ && !traceMuted_)
-            sync_->onMemOp(p, addr,
-                           inRmw_ ? MemOp::Rmw
-                                  : write ? MemOp::Store : MemOp::Load);
-        return lat;
-    }
-
-    const NodeId myNode = procNode_[p];
-    const NodeId home = pageTable_.home(addr, myNode);
-    Cycles migration_stall = 0;
-    if (pageTable_.noteAccess(addr, myNode)) {
-        // Page migrated to myNode: the 16 KB copy occupies both
-        // memories (one page of line transfers), and the triggering
-        // access stalls for the full OS/TLB-shootdown latency.
-        useResource(memFree_[home], now, cfg_.migrationCycles / 4);
-        useResource(memFree_[myNode], now, cfg_.migrationCycles / 4);
-        migration_stall = cfg_.migrationCycles;
-        ++st.c.pageMigrations;
-        if (traceOn())
-            trace_->onPageMigration(p, now, addr, home, myNode);
-    }
-
-    // `lat` accumulates the elapsed transaction latency; each stage's
-    // resource sees arrival time now+lat, so queueing delays compose
-    // sequentially instead of being double-counted.
-    Cycles lat = 0;
-
-    if (res.hit && res.upgrade) {
-        // Write hit on a Shared line: ownership upgrade at the home.
-        // No victim on this path, so the entry reference is safe to
-        // hold (nothing below drops a line from the directory).
-        DirEntry& e = dir_.lookup(line);
-        ++st.c.upgrades;
-        const std::uint64_t inv_before = st.c.invalsSent;
-        lat = cfg_.procCycles;
-        lat += useResource(hubFree_[myNode], now + lat,
-                           cfg_.hubOccupancy);
-        lat += cfg_.hubCycles; // traversal out
-        if (home != myNode) {
-            lat += netLeg(myNode, home, now + lat);
-            lat += useResource(hubFree_[home], now + lat,
-                               cfg_.hubOccupancy);
-            lat += cfg_.hubCycles + cfg_.dirCycles;
-            lat += invalidateSharers(p, home, now + lat, line, e, st);
-            lat += cfg_.hubCycles; // home hub out
-            lat += netLeg(home, myNode, now + lat);
-        } else {
-            lat += cfg_.dirCycles;
-            lat += invalidateSharers(p, home, now + lat, line, e, st);
-        }
-        lat += cfg_.hubCycles + cfg_.procCycles; // own hub in, retire
-        e.state = DirState::Dirty;
-        e.owner = p;
-        e.sharers.clear();
-        e.sharers.add(p);
-        if (traceOn())
-            trace_->onUpgrade(p, now, lat, line, home,
-                              static_cast<int>(st.c.invalsSent -
-                                               inv_before));
-        if (commit_)
-            commit_->onStore(p, line);
-        if (sync_ && !traceMuted_)
-            sync_->onMemOp(p, addr,
-                           inRmw_ ? MemOp::Rmw : MemOp::Store);
-        return lat;
-    }
-
-    // True miss: victim first, then the fill transaction. The line's
-    // directory entry is looked up only after the victim's entry has
-    // been updated/dropped: dropping the victim may free the block of
-    // its page, which can be this line's page, so a reference obtained
-    // earlier could dangle.
-    handleVictim(p, now, res, st);
-    pendingFill_[p].erase(line);
-    DirEntry& e = dir_.lookup(line);
-    obs::EventKind miss_kind = obs::EventKind::MissLocal;
-    DataSource fill_src = DataSource::Memory;
-    ProcId fill_supplier = kNoProc;
-
-    const bool dirty_elsewhere =
-        e.state == DirState::Dirty && e.owner != kNoProc && e.owner != p;
-
-    // Request leg: processor -> own Hub (-> network -> home Hub).
-    lat = cfg_.procCycles;
-    lat += useResource(hubFree_[myNode], now + lat, cfg_.hubOccupancy);
-    lat += cfg_.hubCycles; // own hub, outbound traversal
-    if (home != myNode) {
-        lat += netLeg(myNode, home, now + lat);
-        lat += useResource(hubFree_[home], now + lat, cfg_.hubOccupancy);
-        lat += cfg_.hubCycles; // home hub, inbound traversal
-    }
-    // Home: directory lookup + (possibly speculative) memory read.
-    lat += cfg_.dirCycles;
-    lat += useResource(memFree_[home], now + lat, cfg_.memOccupancy);
-    lat += cfg_.memCycles;
-
-    if (dirty_elsewhere) {
-        // 3-hop: the home forwards to the owner concurrently with its
-        // speculative memory read; the owner replies directly to the
-        // requester. The requester pays the intervention plus however
-        // much the forward leg exceeds the overlapped memory access and
-        // the reply leg exceeds the direct home->requester leg.
-        const ProcId owner = e.owner;
-        const NodeId on = procNode_[owner];
-        lat += useResource(hubFree_[on], now + lat, cfg_.hubOccupancy);
-        lat += 2 * cfg_.hubCycles + cfg_.protocol.interventionCycles;
-        const Cycles fwd = legLatency(cfg_, topo_.route(home, on));
-        const Cycles rep = legLatency(cfg_, topo_.route(on, myNode));
-        const Cycles direct = legLatency(cfg_, topo_.route(home, myNode));
-        lat += fwd > cfg_.memCycles ? fwd - cfg_.memCycles : 0;
-        lat += rep > direct ? rep - direct : 0;
-        ++st.c.missRemoteDirty;
-        miss_kind = obs::EventKind::MissRemoteDirty;
-        fill_src = DataSource::Owner;
-        fill_supplier = owner;
-        if (write) {
-            caches_[owner]->invalidate(line);
-            if (commit_)
-                commit_->onInval(owner, line);
-            if (allStats_)
-                ++(*allStats_)[owner].c.invalsReceived;
-            e.owner = p;
-            e.sharers.clear();
-            e.sharers.add(p);
-            // state stays Dirty
-        } else {
-            caches_[owner]->downgrade(line);
-            // Owner's dirty data is written back to home memory.
-            useResource(memFree_[home], now, cfg_.memOccupancy);
-            if (commit_)
-                commit_->onDowngrade(owner, line);
-            e.state = DirState::Shared;
-            e.owner = kNoProc;
-            e.sharers.add(p);
-        }
-    } else {
-        if (home == myNode) {
-            ++st.c.missLocal;
-            miss_kind = obs::EventKind::MissLocal;
-        } else {
-            ++st.c.missRemoteClean;
-            miss_kind = obs::EventKind::MissRemoteClean;
-        }
-        if (write) {
-            lat += invalidateSharers(p, home, now + lat, line, e, st);
-            e.state = DirState::Dirty;
-            e.owner = p;
-            e.sharers.clear();
-            e.sharers.add(p);
-        } else {
-            if (e.state == DirState::Dirty && e.owner == p) {
-                // Stale directory (should not happen); repair.
-                e.state = DirState::Shared;
-                e.owner = kNoProc;
-            }
-            e.state = e.state == DirState::Uncached ? DirState::Shared
-                                                    : e.state;
-            e.sharers.add(p);
-        }
-    }
-    // Reply leg: (home hub out -> network ->) own Hub in -> processor.
-    if (home != myNode) {
-        lat += cfg_.hubCycles;
-        lat += netLeg(home, myNode, now + lat);
-    }
-    lat += cfg_.hubCycles + cfg_.procCycles;
-    if (traceOn())
-        trace_->onMiss(p, now, lat + migration_stall, line, home,
-                       miss_kind, write);
-    if (commit_) {
-        if (write)
-            commit_->onStore(p, line);
-        else
-            commit_->onLoad(p, line, fill_src, fill_supplier);
-    }
-    if (sync_ && !traceMuted_)
-        sync_->onMemOp(p, addr,
-                       inRmw_ ? MemOp::Rmw
-                              : write ? MemOp::Store : MemOp::Load);
-    return lat + migration_stall;
-}
-
 void
 MemSys::prefetch(ProcId p, Cycles now, Addr addr, ProcStats& st)
 {
@@ -916,13 +697,6 @@ MemSys::llscRmw(ProcId p, Cycles now, Addr addr, ProcStats& st)
 std::string
 MemSys::validateCoherence() const
 {
-    if (dir_.shadowEnabled()) {
-        // Differential seam: the page blocks must mirror the
-        // reference std::unordered_map exactly, entry for entry.
-        std::string diff = dir_.shadowDiff();
-        if (!diff.empty())
-            return diff;
-    }
     std::ostringstream err;
     // Pass 1: every cached line is covered by a directory entry whose
     // state matches.

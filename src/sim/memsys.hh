@@ -270,11 +270,6 @@ class MemSys
                             std::forward<Fn>(fn));
     }
 
-    /// The preserved hard-coded MESI + full-bit-vector access body
-    /// (bit-identity seam; see CheckConfig::legacyMesiPath).
-    Cycles accessLegacy(ProcId p, Cycles now, Addr addr, bool write,
-                        ProcStats& st);
-
     /// True when observability hooks should fire.
     bool traceOn() const { return trace_ != nullptr && !traceMuted_; }
 

@@ -2,7 +2,7 @@
  * @file
  * Tests for the page-block directory storage.
  *
- * Three layers of evidence that the directory behaves like a map from
+ * Two layers of evidence that the directory behaves like a map from
  * line address to entry, holding a line from its lookup() until its
  * drop():
  *  - the container itself, driven by seeded random lookup / mutate /
@@ -12,13 +12,9 @@
  *    held line throughout, so block reclamation is checked exactly;
  *  - a whole machine whose footprint is many times its aggregate L2,
  *    which must end holding no more blocks than pages with a cached
- *    line;
- *  - the whole protocol, by running randomized stress traces on a
- *    hostile tiny-cache machine with the shadow-directory seam enabled
- *    (every DirEntry is mirrored into a reference unordered_map and
- *    compared entry-for-entry at every validateCoherence sweep), and by
- *    checking that a shadowed run is observably identical to a normal
- *    one.
+ *    line.
+ * The directory's final state after whole-protocol stress runs is
+ * pinned by the stress digests in test_protocols.cc.
  */
 
 #include <algorithm>
@@ -30,7 +26,6 @@
 
 #include <gtest/gtest.h>
 
-#include "check/stress.hh"
 #include "sim/directory.hh"
 #include "sim/machine.hh"
 
@@ -263,70 +258,6 @@ TEST(Directory, LargeFootprintHoldsOnlyCachedPages)
     EXPECT_LE(dir.blocks(), cachedPages.size());
     EXPECT_LT(dir.blocks(), bytes / cfg.pageBytes);
     EXPECT_EQ(m.mem().validateCoherence(), "");
-}
-
-// ---- whole-protocol differential via the shadow seam ----
-
-ccnuma::check::StressOptions
-hostileOptions(std::uint64_t seed, bool shadow)
-{
-    ccnuma::check::StressOptions opt;
-    opt.seed = seed;
-    opt.procs = 8;
-    opt.opsPerProc = 300;
-    opt.validateEvery = 64; // frequent sweeps => frequent shadowDiff
-    opt.machine.check.shadowDirectory = shadow;
-    return opt;
-}
-
-TEST(DirectoryShadow, StressTracesMatchReferenceMap)
-{
-    // 20 seeds on the hostile tiny-cache stress machine, whose lines
-    // keep leaving every cache, so blocks are freed and reallocated
-    // throughout. Any divergence between the blocks and the reference
-    // unordered_map fails validateCoherence, which the report surfaces.
-    for (std::uint64_t seed = 1; seed <= 20; ++seed) {
-        const ccnuma::check::StressReport rep =
-            ccnuma::check::runStress(hostileOptions(seed, true));
-        EXPECT_FALSE(rep.failed)
-            << "seed " << seed << ": " << rep.message;
-        EXPECT_GT(rep.validations, 0u) << "seed " << seed;
-    }
-}
-
-TEST(DirectoryShadow, ShadowingIsObservablyInert)
-{
-    // The shadow seam must not perturb the simulation: a shadowed run
-    // and a plain run of the same seed produce identical reports
-    // (StressReport equality includes a hash of every processor's
-    // timing and counter state, i.e. all transaction classifications).
-    for (std::uint64_t seed = 1; seed <= 5; ++seed) {
-        ccnuma::check::StressReport on =
-            ccnuma::check::runStress(hostileOptions(seed, true));
-        ccnuma::check::StressReport off =
-            ccnuma::check::runStress(hostileOptions(seed, false));
-        EXPECT_EQ(on, off) << "seed " << seed;
-    }
-}
-
-TEST(DirectoryShadow, ShadowDiffReportsInjectedDivergence)
-{
-    // White-box: the public API mirrors every mutation (that is the
-    // point of the seam), so the only way to fabricate a divergence is
-    // to corrupt a live entry behind the shadow's back. Park the
-    // deferred-mirror slot on a different line first, or the next flush
-    // would launder the corruption into the reference map too.
-    Directory dir(kPage, kLine);
-    dir.enableShadow(true);
-    DirEntry& e = dir.lookup(0x1000);
-    e.state = DirState::Shared;
-    e.sharers.add(3);
-    EXPECT_TRUE(dir.shadowDiff().empty());
-    dir.lookup(0x2000); // pending mirror now tracks 0x2000
-    const DirEntry* live = dir.probe(0x1000);
-    ASSERT_NE(live, nullptr);
-    const_cast<DirEntry*>(live)->sharers.add(5);
-    EXPECT_FALSE(dir.shadowDiff().empty());
 }
 
 } // namespace

@@ -98,6 +98,14 @@ TEST(ModelConfig, BadOptionsReportConfigNotViolation)
     r = model::runCheck(o);
     EXPECT_FALSE(r.ok);
     EXPECT_EQ(r.invariant, "config");
+    // The reason runCheck reports is configError's, which callers
+    // consult before running anything.
+    EXPECT_EQ(r.detail, model::configError(o));
+
+    o.procs = 2;
+    EXPECT_EQ(model::configError(o), "");
+    o.dirFormat = "ptr:0";
+    EXPECT_NE(model::configError(o), "");
 }
 
 namespace {

@@ -198,14 +198,4 @@ TEST(MachineConfigValidate, RejectsBadProtocolDirectoryCombinations)
     EXPECT_FALSE(cfg.validate().empty());
     cfg.dirFormat.param = 4;
     EXPECT_TRUE(cfg.validate().empty());
-
-    // The legacy bit-identity seam only exists for MESI + fullbv.
-    sim::MachineConfig legacy = sim::MachineConfig::origin2000(4);
-    legacy.check.legacyMesiPath = true;
-    EXPECT_TRUE(legacy.validate().empty());
-    legacy.protocol.kind = ProtocolKind::MOESI;
-    EXPECT_FALSE(legacy.validate().empty());
-    legacy.protocol.kind = ProtocolKind::MESI;
-    legacy.dirFormat.parse("ptr:2");
-    EXPECT_FALSE(legacy.validate().empty());
 }

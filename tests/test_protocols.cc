@@ -6,8 +6,8 @@
  *  - every new protocol x format combination runs the all-apps SC
  *    oracle sweep, a 20-seed stress sweep and a race-free app sweep
  *    clean;
- *  - the check.legacyMesiPath seam replays the table-driven engine
- *    bit-identically for MESI + fullbv;
+ *  - pinned stress digests (cycles, counters, final directory state)
+ *    fix every protocol x format's exact outcome on fixed seeds;
  *  - directed litmus programs pin the distinguishing behaviours:
  *    MOESI owner-forwarding keeps serving readers from the dirty copy,
  *    Dragon updates leave remote copies valid (no invalidations at
@@ -20,6 +20,9 @@
  */
 
 #include <gtest/gtest.h>
+
+#include <cstdio>
+#include <string>
 
 #include "analyze/sweep.hh"
 #include "apps/registry.hh"
@@ -137,23 +140,126 @@ INSTANTIATE_TEST_SUITE_P(NewCombos, ProtocolComboSweep,
                              return n;
                          });
 
-TEST(LegacyMesiSeam, StressReplaysBitIdenticallyThroughBothPaths)
+namespace {
+
+/// One pinned stress run: check::runStress on the default stress
+/// machine under (protocol, dirFormat), and the outcome it must
+/// reproduce exactly. The stateHash covers every processor's times
+/// and counters and the final directory state (see StressReport).
+struct Digest {
+    const char* protocol;
+    const char* dirFormat;
+    std::uint64_t seed;
+    int procs;
+    int opsPerProc;
+    std::uint64_t validateEvery;
+    sim::Cycles finalTime;
+    std::uint64_t commits;
+    std::uint64_t stateHash;
+};
+
+// clang-format off
+constexpr Digest kDigests[] = {
+    // protocol, dir-format, seed, procs, opsPerProc, validateEvery,
+    //     finalTime, commits, stateHash
+    // MESI x fullbv, the corpus the hard-coded MESI path was
+    // replayed against until it was deleted.
+    {"mesi", "fullbv", 1, 8, 200, 512, 44370, 1478, 0xfef79064a85fb542ull},
+    {"mesi", "fullbv", 7, 8, 200, 512, 40798, 1487, 0xe7a3e2dddb6b49b7ull},
+    {"mesi", "fullbv", 42, 8, 200, 512, 45039, 1449, 0x478c2578a94d813cull},
+    // MESI x fullbv with a coherence sweep every 64 commits, the
+    // corpus the shadow directory map was checked against.
+    {"mesi", "fullbv", 1, 8, 300, 64, 60185, 2200, 0x8abec9958660120dull},
+    {"mesi", "fullbv", 2, 8, 300, 64, 61789, 2235, 0x93ab2a0a29a2203aull},
+    {"mesi", "fullbv", 3, 8, 300, 64, 61548, 2213, 0x06aef4b64d007a81ull},
+    {"mesi", "fullbv", 4, 8, 300, 64, 59643, 2200, 0xfbb657cdda7d5c62ull},
+    {"mesi", "fullbv", 5, 8, 300, 64, 60291, 2205, 0x33e3c58da459006full},
+    {"mesi", "fullbv", 6, 8, 300, 64, 61015, 2187, 0x827422b7ae206709ull},
+    {"mesi", "fullbv", 7, 8, 300, 64, 60904, 2215, 0x09326869bcc5d035ull},
+    {"mesi", "fullbv", 8, 8, 300, 64, 67592, 2219, 0xccab0bebe24e398full},
+    {"mesi", "fullbv", 9, 8, 300, 64, 63205, 2234, 0xbf16af2c49016b11ull},
+    {"mesi", "fullbv", 10, 8, 300, 64, 62253, 2190, 0xd076e8a9ef851dd8ull},
+    {"mesi", "fullbv", 11, 8, 300, 64, 66480, 2204, 0xa9afef3624ff85a0ull},
+    {"mesi", "fullbv", 12, 8, 300, 64, 61261, 2228, 0xab9762de000cedfaull},
+    {"mesi", "fullbv", 13, 8, 300, 64, 65422, 2228, 0x16869c17b4cf6507ull},
+    {"mesi", "fullbv", 14, 8, 300, 64, 61764, 2222, 0x93ddbc10ae8756a7ull},
+    {"mesi", "fullbv", 15, 8, 300, 64, 70108, 2228, 0xa642b167913cd4a8ull},
+    {"mesi", "fullbv", 16, 8, 300, 64, 67542, 2204, 0x3405f6f46707ab86ull},
+    {"mesi", "fullbv", 17, 8, 300, 64, 61831, 2213, 0xce3916aeb6252fd3ull},
+    {"mesi", "fullbv", 18, 8, 300, 64, 69495, 2242, 0x439afcf028e8aa41ull},
+    {"mesi", "fullbv", 19, 8, 300, 64, 61541, 2191, 0x98185ffe747f0370ull},
+    {"mesi", "fullbv", 20, 8, 300, 64, 63764, 2204, 0xd0e59dcf0ab34a83ull},
+    // Every other shipped protocol x directory format.
+    {"mesi", "coarse:4", 1, 8, 200, 512, 44271, 1476, 0xa076c3f527834502ull},
+    {"mesi", "coarse:4", 7, 8, 200, 512, 41122, 1486, 0x757df540ae48e6fbull},
+    {"mesi", "coarse:4", 42, 8, 200, 512, 46026, 1448, 0xa9a73f018568b0f0ull},
+    {"mesi", "ptr:2", 1, 8, 200, 512, 44004, 1478, 0x94a23e6613515b85ull},
+    {"mesi", "ptr:2", 7, 8, 200, 512, 41202, 1489, 0xb9278621e7f61bd7ull},
+    {"mesi", "ptr:2", 42, 8, 200, 512, 45836, 1450, 0xb57db3f98bc15a2bull},
+    {"moesi", "fullbv", 1, 8, 200, 512, 42465, 1479, 0x3289f56609fd3e71ull},
+    {"moesi", "fullbv", 7, 8, 200, 512, 41321, 1489, 0x45cfb71bf148386cull},
+    {"moesi", "fullbv", 42, 8, 200, 512, 44316, 1449, 0x60a425875b23adfbull},
+    {"moesi", "coarse:4", 1, 8, 200, 512, 46485, 1479, 0x35448790fdc1e920ull},
+    {"moesi", "coarse:4", 7, 8, 200, 512, 43900, 1489, 0xb1ce2dfd64b94294ull},
+    {"moesi", "coarse:4", 42, 8, 200, 512, 47048, 1448, 0xa1ca354238ef2afcull},
+    {"moesi", "ptr:2", 1, 8, 200, 512, 46010, 1479, 0x677968299846f25aull},
+    {"moesi", "ptr:2", 7, 8, 200, 512, 42234, 1489, 0x71e8e8828bfe33a5ull},
+    {"moesi", "ptr:2", 42, 8, 200, 512, 45600, 1446, 0xb8a70fbe061425e4ull},
+    {"dragon", "fullbv", 1, 8, 200, 512, 37187, 1464, 0x58efe91bf0c5f7d7ull},
+    {"dragon", "fullbv", 7, 8, 200, 512, 34167, 1458, 0x96713fde6ffe7cb2ull},
+    {"dragon", "fullbv", 42, 8, 200, 512, 36324, 1435, 0xba4c5bd74165775bull},
+    {"dragon", "coarse:4", 1, 8, 200, 512, 38337, 1464, 0xb3cd8c65a426b944ull},
+    {"dragon", "coarse:4", 7, 8, 200, 512, 37611, 1458, 0x913c5cb7a50838ebull},
+    {"dragon", "coarse:4", 42, 8, 200, 512, 40258, 1435, 0x635401797d0aed77ull},
+    {"dragon", "ptr:2", 1, 8, 200, 512, 38691, 1464, 0x2866f22bbf17f2f4ull},
+    {"dragon", "ptr:2", 7, 8, 200, 512, 35220, 1458, 0x0a651e3eb4f9ffa1ull},
+    {"dragon", "ptr:2", 42, 8, 200, 512, 38475, 1435, 0xd77ca7fff3e5092dull},
+};
+// clang-format on
+
+std::string
+formatDigest(const Digest& d)
 {
-    // The table-driven engine must be indistinguishable from the
-    // historical hard-coded MESI path: full per-processor timing and
-    // counter state (StressReport::stateHash) must match.
-    for (std::uint64_t seed : {1ull, 7ull, 42ull}) {
-        check::StressOptions engine;
-        engine.seed = seed;
-        engine.procs = 8;
-        engine.opsPerProc = 200;
-        check::StressOptions legacy = engine;
-        legacy.machine.check.legacyMesiPath = true;
-        const check::StressReport a = check::runStress(engine);
-        const check::StressReport b = check::runStress(legacy);
-        EXPECT_FALSE(a.failed) << a.message;
-        EXPECT_FALSE(b.failed) << b.message;
-        EXPECT_EQ(a, b) << "seed " << seed;
+    char buf[192];
+    std::snprintf(buf, sizeof buf,
+                  "    {\"%s\", \"%s\", %llu, %d, %d, %llu, %llu, %llu, "
+                  "0x%016llxull},",
+                  d.protocol, d.dirFormat,
+                  static_cast<unsigned long long>(d.seed), d.procs,
+                  d.opsPerProc,
+                  static_cast<unsigned long long>(d.validateEvery),
+                  static_cast<unsigned long long>(d.finalTime),
+                  static_cast<unsigned long long>(d.commits),
+                  static_cast<unsigned long long>(d.stateHash));
+    return buf;
+}
+
+} // namespace
+
+TEST(StressDigest, RunsMatchPinnedRows)
+{
+    // Cycles, counters and final directory state of every row are
+    // frozen: a protocol or timing change that alters any of them
+    // must be re-pinned by hand from the row printed below.
+    for (const Digest& d : kDigests) {
+        check::StressOptions opt;
+        opt.seed = d.seed;
+        opt.procs = d.procs;
+        opt.opsPerProc = d.opsPerProc;
+        opt.validateEvery = d.validateEvery;
+        ASSERT_TRUE(opt.machine.protocol.parse(d.protocol));
+        ASSERT_TRUE(opt.machine.dirFormat.parse(d.dirFormat));
+        const check::StressReport rep = check::runStress(opt);
+        EXPECT_FALSE(rep.failed) << formatDigest(d) << " " << rep.message;
+        Digest got = d;
+        got.finalTime = rep.finalTime;
+        got.commits = rep.commits;
+        got.stateHash = rep.stateHash;
+        EXPECT_TRUE(got.finalTime == d.finalTime &&
+                    got.commits == d.commits &&
+                    got.stateHash == d.stateHash)
+            << "pinned:\n" << formatDigest(d) << "\ngot:\n"
+            << formatDigest(got);
     }
 }
 
