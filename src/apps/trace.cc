@@ -327,6 +327,7 @@ parseTrace(const std::string& text)
                                       std::to_string(expect) + ", got " +
                                       std::to_string(p));
         auto& stream = t.ops[p];
+        std::uint64_t busyCycles = 0;
         // `count` is untrusted input; the shortest op line ("y\n") is
         // two bytes, so the remaining text bounds how many ops can
         // actually follow. Clamping keeps an absurd declared count from
@@ -374,6 +375,14 @@ parseTrace(const std::string& text)
                                               "' needs one number");
             } else if (toks.size() != 1) {
                 return fail(cur.line, "op 'y' takes no argument");
+            }
+            if (op.kind == sim::OpKind::Busy) {
+                if (op.arg > kMaxTraceBusyCycles - busyCycles)
+                    return fail(cur.line,
+                                "busy cycles exceed the " +
+                                    std::to_string(kMaxTraceBusyCycles) +
+                                    "-cycle trace busy cap");
+                busyCycles += op.arg;
             }
             stream.push_back(op);
         }

@@ -37,7 +37,8 @@
  * Parsing is strict in the ccnuma::check::json spirit: unknown
  * directives, malformed numbers, wrong op counts, duplicate or
  * out-of-order `ops` blocks and a missing `end` are all errors with a
- * line number, and so is a total `alloc` above kMaxTraceHeapBytes.
+ * line number, and so is a total `alloc` above kMaxTraceHeapBytes or
+ * one processor's total `b` above kMaxTraceBusyCycles.
  * Semantic validity of op arguments is checked at replay time, not at
  * parse time — the parse answers "is this a trace", the replay answers
  * "does it run": TraceReplayApp::setup() rejects addresses outside the
@@ -102,6 +103,10 @@ struct Trace {
 /// it the host memory a replay's page table and directory can grow
 /// to; the largest built-in workloads allocate tens of MB.
 inline constexpr std::uint64_t kMaxTraceHeapBytes = 1ull << 30;
+
+/// Cap on one processor's summed `b` cycles. It keeps simulated time
+/// from wrapping; the largest golden sequential time is 4.4e8 cycles.
+inline constexpr std::uint64_t kMaxTraceBusyCycles = 1ull << 40;
 
 /** Outcome of parsing trace text: ok + trace, or an error. */
 struct TraceParseResult {

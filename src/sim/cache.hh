@@ -46,8 +46,8 @@ struct CacheResult {
  * One processor's L2 cache. Addresses are full byte addresses; the cache
  * works internally on line numbers (addr >> lineShift), each split into
  * a set index and a tag. A tag has kTagBits bits, so the cache holds
- * addresses up to maxAddr() (2^51 - 1 for the Origin L2); an access or
- * install beyond it throws std::out_of_range.
+ * addresses up to maxAddr() (2^35 - 1, 32 GiB, for the Origin L2); an
+ * access or install beyond it throws std::out_of_range.
  */
 class Cache
 {
@@ -63,8 +63,23 @@ class Cache
     Cache(std::uint64_t bytes, int assoc, std::uint32_t line_bytes,
           const Protocol* proto = nullptr);
 
-    /// Bits of a way's tag: a way is 32 bits, two of them the state.
-    static constexpr int kTagBits = 30;
+    /// One way: `(tag << 2) | state`, where the tag is the line number
+    /// without its set-index bits (`line >> log2 sets`); the way's set
+    /// gives those back. An invalid way is all zero bits. A set is kept
+    /// in recency order, most recent first, invalid ways last: a hit
+    /// moves its way to the front, a fill replaces the last way (an
+    /// invalid one if any, else the LRU line) and moves it to the
+    /// front, and invalidate() moves a way to the back. The array is
+    /// allocated uninitialised: a set holds garbage until its bit in
+    /// setInit_ is set, so building a cache costs O(sets / 64), not
+    /// O(capacity) — a 4 MB L2 is 64 KB of ways, 16 MB per p256
+    /// machine, of which small runs reach a sliver. (Zeroed memory is
+    /// no substitute: once glibc's dynamic mmap threshold rises past
+    /// the array size, calloc memsets recycled heap in full.)
+    using Way = std::uint16_t;
+
+    /// Bits of a way's tag: every bit of a Way but the two of the state.
+    static constexpr int kTagBits = 8 * sizeof(Way) - 2;
 
     /// Look up a line; allocates (Shared on read, Dirty on write) on
     /// miss. Inlined into MemSys::access, the simulator's hottest loop;
@@ -137,21 +152,6 @@ class Cache
     /// and host-independent, unlike the pages the array occupies.
     std::uint64_t touchedSets() const;
 
-    /// One way: `(tag << 2) | state`, where the tag is the line number
-    /// without its set-index bits (`line >> log2 sets`); the way's set
-    /// gives those back. An invalid way is all zero bits. A set is kept
-    /// in recency order, most recent first, invalid ways last: a hit
-    /// moves its way to the front, a fill replaces the last way (an
-    /// invalid one if any, else the LRU line) and moves it to the
-    /// front, and invalidate() moves a way to the back. The array is
-    /// allocated uninitialised: a set holds garbage until its bit in
-    /// setInit_ is set, so building a cache costs O(sets / 64), not
-    /// O(capacity) — a 4 MB L2 is 128 KB of ways, 32 MB per p256
-    /// machine, of which small runs reach a sliver. (Zeroed memory is
-    /// no substitute: once glibc's dynamic mmap threshold rises past
-    /// the array size, calloc memsets recycled heap in full.)
-    using Way = std::uint32_t;
-
   private:
     static LineState
     stateOf(Way w)
@@ -161,7 +161,7 @@ class Cache
     static Way
     withState(Way w, LineState st)
     {
-        return (w & ~Way{3}) | static_cast<Way>(st);
+        return static_cast<Way>((w & ~3) | static_cast<int>(st));
     }
 
     std::uint64_t setIndex(std::uint64_t line) const
@@ -190,12 +190,13 @@ class Cache
 
     /// Index of the valid way in `base` holding `key` = `tag << 2`,
     /// or -1. A way matches when it XORs with `key` to a nonzero state
-    /// alone.
+    /// alone. The subtraction must wrap in Way arithmetic: promoted to
+    /// int, an invalid way's 0 - 1 is -1 < 3 and matches tag 0.
     int
     wayOf(const Way* base, Way key) const
     {
         for (int w = 0; w < assoc_; ++w)
-            if ((base[w] ^ key) - 1 < 3)
+            if (static_cast<Way>((base[w] ^ key) - 1) < 3)
                 return w;
         return -1;
     }

@@ -52,7 +52,7 @@ class Machine
     /// Allocate `bytes` of shared address space, page-aligned.
     /// @throws std::overflow_error if the heap would pass the top of
     ///         the address space: the last address the caches' tags
-    ///         cover (Cache::maxAddr(), 2^51 - 1 on the Origin L2).
+    ///         cover (Cache::maxAddr(), 2^35 - 1 on the Origin L2).
     Addr alloc(std::uint64_t bytes);
     /// Allocate one cache line (for locks, flags, counters).
     Addr allocLine();

@@ -15,14 +15,17 @@
 #include <utility>
 #include <vector>
 
+#include "apps/trace.hh"
+#include "check/stress.hh"
+#include "model/world.hh"
 #include "sim/cache.hh"
 #include "sim/machine.hh"
 
 using namespace ccnuma::sim;
 
-// One 4-byte word per way, (tag << 2) | state: a 4 MB, 2-way L2 is
-// 128 KB of way state.
-static_assert(sizeof(Cache::Way) == 4);
+// One 2-byte word per way, (tag << 2) | state: a 4 MB, 2-way L2 is
+// 64 KB of way state.
+static_assert(sizeof(Cache::Way) == 2);
 
 namespace {
 constexpr std::uint32_t kLine = 128;
@@ -542,9 +545,9 @@ TEST(Cache, TagOutOfRangeThrowsAndChangesNothing)
 {
     Cache c(4 << 20, 2, kLine); // the Origin L2: 2^14 sets
     const Addr top = c.maxAddr();
-    ASSERT_EQ(top, (Addr{1} << 51) - 1);
+    ASSERT_EQ(top, (Addr{1} << 35) - 1);
     const Addr low = 3 * kLine;         // tag 0
-    const Addr high = top - kLine + 1;  // tag 2^30 - 1, the last set
+    const Addr high = top - kLine + 1;  // tag 2^14 - 1, the last set
     EXPECT_FALSE(c.access(low, true).hit);
     EXPECT_FALSE(c.access(high, false).hit);
     EXPECT_TRUE(c.access(top, false).hit) << "same line as `high`";
@@ -591,7 +594,7 @@ TEST(Cache, AllocPastTheTagRangeThrows)
 {
     Machine m(MachineConfig::origin2000(1));
     const std::uint64_t page = m.config().pageBytes;
-    const Addr end = m.mem().cache(0).maxAddr() + 1; // 2^51
+    const Addr end = m.mem().cache(0).maxAddr() + 1; // 2^35
     // The heap may fill the tag range exactly, and no more.
     EXPECT_THROW(m.alloc(end - m.heapEnd() + 1), std::overflow_error);
     EXPECT_EQ(m.heapEnd(), Machine::kHeapBase);
@@ -600,4 +603,46 @@ TEST(Cache, AllocPastTheTagRangeThrows)
     EXPECT_EQ(m.heapEnd(), end);
     EXPECT_THROW(m.alloc(1), std::overflow_error);
     EXPECT_EQ(m.heapEnd(), end);
+}
+
+// The tag range of every cache geometry the project builds, pinned
+// against what each one must hold, so a narrower Way fails here by
+// name rather than as a golden diff.
+TEST(Cache, TagRangeCoversEveryConsumer)
+{
+    const MachineConfig origin = MachineConfig::origin2000(1);
+    const MachineConfig stress = ccnuma::check::StressOptions::defaultMachine();
+    const MachineConfig model = ccnuma::model::World::makeConfig(
+        ProtocolConfig{}, DirectoryConfig{}, 2, CheckMutation::None);
+    struct Geometry {
+        const char* what;
+        std::uint64_t bytes;
+        int assoc;
+        std::uint32_t line;
+        Addr max;
+    };
+    const Geometry table[] = {
+        {"Origin L2", origin.cacheBytes, origin.cacheAssoc, origin.lineBytes,
+         (Addr{1} << 35) - 1},
+        {"scaled 512 KB cache", 512u << 10, 2, kLine, (Addr{1} << 32) - 1},
+        {"oracle sweep", 256u << 10, 2, kLine, (Addr{1} << 31) - 1},
+        {"stress", stress.cacheBytes, stress.cacheAssoc, stress.lineBytes,
+         (Addr{1} << 25) - 1},
+        {"model checker", model.cacheBytes, model.cacheAssoc,
+         model.lineBytes, (Addr{1} << 21) - 1},
+    };
+    for (const Geometry& g : table)
+        EXPECT_EQ(Cache(g.bytes, g.assoc, g.line).maxAddr(), g.max) << g.what;
+
+    // The model checker's watched line pair sits in its one-line cache.
+    const ccnuma::model::World w(model);
+    EXPECT_LE(w.lineB() + model.lineBytes - 1, table[4].max);
+
+    // The largest trace heap fits the default machine at every size.
+    for (const int procs : {1, 256}) {
+        Machine m(MachineConfig::origin2000(procs));
+        EXPECT_EQ(m.alloc(ccnuma::apps::kMaxTraceHeapBytes),
+                  Machine::kHeapBase)
+            << procs;
+    }
 }

@@ -306,6 +306,45 @@ TEST(TraceFormat, TotalAllocationIsCapped)
     }
 }
 
+// One processor's summed busy cycles are capped at 2^40, so a trace
+// cannot wrap simulated time: the cap is accepted, one cycle more is a
+// parse error on the line that crosses it, and a count that would wrap
+// the sum is no way around it. The cap is per processor.
+TEST(TraceFormat, TotalBusyIsCapped)
+{
+    const auto parse = [](const std::string& ops0, const std::string& ops1) {
+        const auto count = [](const std::string& s) {
+            return std::to_string(std::count(s.begin(), s.end(), '\n'));
+        };
+        return apps::parseTrace("ccnuma-trace v1\nprocs 2\nops 0 " +
+                                count(ops0) + "\n" + ops0 + "ops 1 " +
+                                count(ops1) + "\n" + ops1 + "end\n");
+    };
+    const std::string cap = std::to_string(apps::kMaxTraceBusyCycles);
+    EXPECT_EQ(apps::kMaxTraceBusyCycles, 1ull << 40);
+    EXPECT_TRUE(parse("b " + cap + "\n", "b " + cap + "\n").ok);
+    EXPECT_TRUE(parse("b 1\nr 1048576\nb " +
+                          std::to_string(apps::kMaxTraceBusyCycles - 1) +
+                          "\n",
+                      "")
+                    .ok);
+    for (const std::string& ops :
+         {"b " + std::to_string(apps::kMaxTraceBusyCycles + 1) + "\n",
+          "b 1\ny\nb " + cap + "\n",
+          std::string("b 1\nb 18446744073709551615\n")}) {
+        const apps::TraceParseResult r = parse(ops, "");
+        ASSERT_FALSE(r.ok) << ops;
+        EXPECT_NE(r.error.find("trace busy cap"), std::string::npos)
+            << r.error;
+        const int lines =
+            static_cast<int>(std::count(ops.begin(), ops.end(), '\n'));
+        EXPECT_EQ(r.error.rfind("line " + std::to_string(3 + lines) + ":",
+                                0),
+                  0u)
+            << r.error;
+    }
+}
+
 // Addresses outside the replayed heap [1 MiB, heap end) are rejected
 // in setup, before the run could grow page tables to reach them.
 TEST(TraceReplay, OutOfHeapAccessThrowsInSetup)
