@@ -43,6 +43,21 @@ unixAddr(const std::string& path)
     return addr;
 }
 
+/// Send small writes at once. Replies are NDJSON, one send() per line
+/// as each worker finishes, so two answers on one connection are two
+/// small segments; with Nagle on, the second waits until the first is
+/// ACKed, and the peer delays that ACK by Linux's 40 ms minimum. A
+/// pipelined client then sees every second reply 40 ms late. Each
+/// reply is already one writeAll(), so nothing is worth coalescing.
+void
+setNoDelay(int fd)
+{
+    // Cannot fail on a connected TCP socket; nothing to recover if it
+    // did (the connection still works, only slower).
+    const int one = 1;
+    ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
+}
+
 } // namespace
 
 void
@@ -101,12 +116,32 @@ Fd
 acceptOn(const Fd& listener)
 {
     for (;;) {
-        const int fd = ::accept(listener.get(), nullptr, nullptr);
-        if (fd >= 0)
+        sockaddr_storage peer{};
+        socklen_t len = sizeof(peer);
+        const int fd = ::accept(listener.get(),
+                                reinterpret_cast<sockaddr*>(&peer), &len);
+        if (fd >= 0) {
+            if (peer.ss_family == AF_INET) // Unix sockets have no Nagle
+                setNoDelay(fd);
             return Fd(fd);
-        if (errno == EINTR)
+        }
+        switch (errno) {
+          case EINTR:
+          case ECONNABORTED: // the peer gave up before we accepted
+          case EPROTO:
+          // Linux reports the new socket's pending network errors
+          // through accept(2); the listener itself is fine.
+          case ENETDOWN:
+          case ENOPROTOOPT:
+          case EHOSTDOWN:
+          case ENONET:
+          case EHOSTUNREACH:
+          case EOPNOTSUPP:
+          case ENETUNREACH:
             continue;
-        return Fd();
+          default:
+            return Fd();
+        }
     }
 }
 
@@ -120,6 +155,7 @@ connectTcp(const std::string& host, int port)
     if (::connect(fd.get(), reinterpret_cast<sockaddr*>(&addr),
                   sizeof(addr)) != 0)
         throwErrno("connect " + host + ":" + std::to_string(port));
+    setNoDelay(fd.get());
     return fd;
 }
 

@@ -60,10 +60,16 @@ std::pair<Fd, int> listenTcp(const std::string& host, int port);
 /// @throws std::runtime_error with errno text on failure.
 Fd listenUnix(const std::string& path);
 
-/// Accept one connection; invalid Fd when the listener was shut down.
+/**
+ * Accept one connection, retrying interrupted and aborted handshakes.
+ * A TCP connection comes back with TCP_NODELAY set. Any other failure
+ * returns an invalid Fd with errno set: EINVAL once the listener was
+ * shut down, or a transient shortage (EMFILE, ENFILE, ENOBUFS,
+ * ENOMEM) the caller should wait out and retry.
+ */
 Fd acceptOn(const Fd& listener);
 
-/// Blocking TCP connect (tests and ccnuma_client).
+/// Blocking TCP connect (tests and ccnuma_client), TCP_NODELAY set.
 /// @throws std::runtime_error with errno text on failure.
 Fd connectTcp(const std::string& host, int port);
 

@@ -35,6 +35,10 @@ hotLineText(const obs::SharingProfiler::LineReport& l)
     return buf;
 }
 
+/// Pause before retrying an accept() that failed for want of
+/// descriptors or memory.
+constexpr std::chrono::milliseconds kAcceptBackoff{50};
+
 } // namespace
 
 Server::Server(ServerOptions opt)
@@ -157,8 +161,19 @@ Server::acceptLoop()
 {
     for (;;) {
         Fd fd = acceptOn(listener_);
-        if (!fd.valid())
-            return; // listener shut down (or fatal accept error)
+        if (!fd.valid()) {
+            // Either stop() shut the listener down, or the process is
+            // short of descriptors or memory (EMFILE and kin), which a
+            // client can cause by holding connections open. Only the
+            // first ends the loop: the shortage passes, and a daemon
+            // that stopped accepting would run on, deaf. Wait it out
+            // without spinning; stop() cuts the wait short.
+            std::unique_lock<std::mutex> lk(mu_);
+            if (stopCv_.wait_for(lk, kAcceptBackoff,
+                                 [&] { return stopping_; }))
+                return;
+            continue;
+        }
         auto conn = std::make_shared<Conn>();
         conn->fd = std::move(fd);
         std::lock_guard<std::mutex> lk(mu_);

@@ -13,7 +13,6 @@
 #define CCNUMA_SIM_SCHEDULER_HH
 
 #include <cstdint>
-#include <limits>
 #include <vector>
 
 #include "sim/task.hh"
@@ -38,6 +37,12 @@ class Cpu;
  * two the scheduler uses. The dispatched processor's leaf keeps its
  * spent dispatch key until the processor re-keys or goes idle, so
  * dispatch itself costs nothing.
+ *
+ * A key is one 128-bit integer, time << 64 | seq << 9 | proc: integer
+ * order is (time, seq) order, since seqs are unique (55 bits of them
+ * outlast any run), and the winner's processor is the root's low bits.
+ * So each level of a re-key is one branch-free minimum, not two
+ * data-dependent compares that the host would mispredict.
  */
 class ReadyTree
 {
@@ -47,7 +52,7 @@ class ReadyTree
     reset(int n)
     {
         n_ = n;
-        node_.assign(2 * static_cast<std::size_t>(n), Node{});
+        node_.assign(2 * static_cast<std::size_t>(n), kIdle);
         seq_ = 0;
         running_ = kNoProc;
     }
@@ -56,12 +61,13 @@ class ReadyTree
     void
     ready(ProcId p, Cycles t)
     {
-        Node& leaf = node_[n_ + p];
-        if (leaf.time == t && p != running_)
+        Key& leaf = node_[n_ + p];
+        if (static_cast<Cycles>(leaf >> 64) == t && p != running_)
             return; // still queued at t: the earlier seq stands
         if (p == running_)
             running_ = kNoProc;
-        leaf = Node{t, seq_++, p};
+        leaf = Key{t} << 64 | Key{seq_++} << kProcBits |
+               static_cast<unsigned>(p);
         update(p);
     }
     /// Take `p` out of contention (blocked or finished).
@@ -70,41 +76,45 @@ class ReadyTree
     {
         if (p == running_)
             running_ = kNoProc;
-        node_[n_ + p] = Node{};
+        node_[n_ + p] = kIdle;
         update(p);
     }
 
     /// The earliest runnable processor, or kNoProc if none is.
-    ProcId top() const { return node_[1].p; }
+    ProcId
+    top() const
+    {
+        const auto p = static_cast<ProcId>(node_[1] & kProcMask);
+        return p == kProcMask ? kNoProc : p;
+    }
     /// Dispatch top(): it becomes running() until it re-keys or goes
     /// idle. Returns kNoProc (and dispatches nothing) if none is ready.
     ProcId dispatch() { return running_ = top(); }
     ProcId running() const { return running_; }
 
   private:
-    struct Node {
-        Cycles time = std::numeric_limits<Cycles>::max(); ///< idle: max
-        std::uint64_t seq = 0;
-        ProcId p = kNoProc;
-    };
-
-    static bool
-    before(const Node& a, const Node& b)
-    {
-        return a.time != b.time ? a.time < b.time : a.seq < b.seq;
-    }
+    using Key = unsigned __int128;
+    static constexpr int kProcBits = 9;
+    static constexpr unsigned kProcMask = (1u << kProcBits) - 1;
+    static_assert(kMaxProcs <= kProcMask, "an idle leaf's proc field "
+                                          "must name no processor");
+    /// Sorts after every runnable key; its proc field reads kProcMask.
+    static constexpr Key kIdle = ~Key{0};
 
     /// Recompute the winners on the path from p's leaf to the root.
     void
     update(ProcId p)
     {
-        for (std::size_t i = (n_ + p) >> 1; i >= 1; i >>= 1)
-            node_[i] = before(node_[2 * i + 1], node_[2 * i])
-                           ? node_[2 * i + 1]
-                           : node_[2 * i];
+        std::size_t i = n_ + p;
+        Key k = node_[i];
+        for (; i > 1; i >>= 1) {
+            const Key s = node_[i ^ 1];
+            k ^= (k ^ s) & -Key(s < k); // min(k, s) without a branch
+            node_[i >> 1] = k;
+        }
     }
 
-    std::vector<Node> node_; ///< [1, n): winners; [n, 2n): leaves
+    std::vector<Key> node_; ///< [1, n): winners; [n, 2n): leaves
     std::size_t n_ = 0;
     std::uint64_t seq_ = 0;
     ProcId running_ = kNoProc;

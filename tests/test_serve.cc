@@ -533,22 +533,6 @@ TEST(Serve, ShutdownRequestStopsTheServer)
                  std::runtime_error);
 }
 
-TEST(Serve, UnixSocketRoundTrip)
-{
-    serve::ServerOptions so = testOptions();
-    so.unixPath = ::testing::TempDir() + "ccnuma_serve_test.sock";
-    serve::Server server(so);
-    server.start();
-    serve::Fd fd = serve::connectUnix(so.unixPath);
-    ASSERT_TRUE(serve::writeAll(fd.get(),
-                                "{\"id\":\"u\",\"type\":\"ping\"}\n"));
-    serve::LineReader reader(fd.get(), 1u << 20);
-    std::string resp;
-    ASSERT_EQ(reader.next(resp), serve::ReadStatus::Line);
-    EXPECT_TRUE(isOk(parseResponse(resp)));
-    server.stop();
-}
-
 // ---- wire parser unit tests ----
 
 TEST(Wire, CacheKeyCanonicalization)
